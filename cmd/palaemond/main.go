@@ -44,9 +44,9 @@ func run() error {
 		recover     = flag.Bool("recover", false, "acknowledge fail-over after a crash (v < c)")
 		groupCommit = flag.Bool("group-commit", false, "batch concurrent database writers into one fsync")
 
-		tenantRate    = flag.Float64("tenant-rate", 0, "per-tenant sustained request rate on /v2 (req/s, 0 = unlimited)")
+		tenantRate    = flag.Float64("tenant-rate", 0, "per-tenant sustained request rate (req/s, 0 = unlimited)")
 		tenantBurst   = flag.Int("tenant-burst", 0, "per-tenant burst capacity (default: ceil of -tenant-rate)")
-		maxConcurrent = flag.Int("max-concurrent", 0, "instance-wide concurrent /v2 requests (0 = unlimited)")
+		maxConcurrent = flag.Int("max-concurrent", 0, "instance-wide concurrent requests (0 = unlimited)")
 
 		opsAddr   = flag.String("ops-addr", "", "plaintext operational endpoint: /metrics, /healthz, /readyz, /debug/pprof (empty = disabled)")
 		auditPath = flag.String("audit", "", "hash-chained audit log file (default: <data>/audit.log, \"off\" = disabled)")

@@ -12,7 +12,7 @@ import (
 	"palaemon/internal/wire"
 )
 
-// This file is the admission-control layer in front of the v2 wire surface
+// This file is the admission-control layer in front of every route
 // (DESIGN.md §10): per-tenant token-bucket rate limits plus one bounded
 // instance-wide concurrency gate, keyed by the stakeholder client identity
 // (the certificate fingerprint every authenticated request already
@@ -39,13 +39,13 @@ var (
 // ServerOptions disables the layer entirely.
 type AdmissionLimits struct {
 	// TenantRate is the sustained request rate (requests/second) each
-	// tenant may issue against the v2 surface. 0 disables rate limiting.
+	// tenant may issue against the server. 0 disables rate limiting.
 	TenantRate float64
 	// TenantBurst is the token-bucket capacity: how many requests a tenant
 	// may issue back-to-back after an idle period. Defaults to
 	// max(1, ceil(TenantRate)) when TenantRate is set.
 	TenantBurst int
-	// MaxConcurrent bounds the v2 requests executing at once across ALL
+	// MaxConcurrent bounds the requests executing at once across ALL
 	// tenants (the instance-wide gate). 0 disables the gate.
 	MaxConcurrent int
 	// MaxWait bounds how long an admitted request may queue for a
@@ -279,9 +279,9 @@ func (s *Server) AdmissionStats() map[ClientID]AdmissionStats {
 	return s.adm.statsSnapshot()
 }
 
-// admit wraps a v2 handler with the admission check. Without limits it is
-// a pass-through. The Retry-After header mirrors the envelope hint in
-// whole seconds (rounded up) for generic HTTP tooling.
+// admit wraps a route's handler with the admission check. Without limits
+// it is a pass-through. The Retry-After header mirrors the envelope hint
+// in whole seconds (rounded up) for generic HTTP tooling.
 func (s *Server) admit(gated bool, h http.HandlerFunc) http.HandlerFunc {
 	if s.adm == nil {
 		return h

@@ -27,21 +27,14 @@ import (
 	"palaemon/internal/wire"
 )
 
-// Client-side wire errors.
-var (
-	// ErrResponseTooLarge reports a response body exceeding the wire
-	// contract's 8 MiB cap (wire.MaxResponseBytes). Before this sentinel
-	// existed, oversized responses surfaced as confusing truncated-JSON
-	// decode failures.
-	ErrResponseTooLarge = errors.New("core: response exceeds the 8 MiB wire cap")
-	// ErrRequiresV2 reports a v2-only operation (list, batch, watch,
-	// conditional read) attempted on a client pinned to the legacy v1
-	// protocol.
-	ErrRequiresV2 = errors.New("core: operation requires wire protocol v2")
-)
+// ErrResponseTooLarge reports a response body exceeding the wire
+// contract's 8 MiB cap (wire.MaxResponseBytes). Before this sentinel
+// existed, oversized responses surfaced as confusing truncated-JSON
+// decode failures.
+var ErrResponseTooLarge = errors.New("core: response exceeds the 8 MiB wire cap")
 
 // Client talks to a PALÆMON instance over its REST/TLS API, speaking the
-// v2 wire protocol (typed DTOs, structured error envelopes) by default.
+// wire protocol of internal/wire (typed DTOs, structured error envelopes).
 // It implements both attestation paths of §IV-B: TLS-based (verify the
 // server certificate against the PALÆMON CA root) and explicit (fetch the
 // IAS report, verify it, check the MRE, and challenge the identity key).
@@ -52,8 +45,6 @@ type Client struct {
 	profile   simnet.Profile
 	clock     simclock.Clock
 	timeout   time.Duration
-	// v1 pins the legacy unversioned protocol (ClientOptions.ProtocolV1).
-	v1 bool
 	// Retry policy (ClientOptions.MaxRetries and friends); maxRetries == 0
 	// means every operation is single-shot.
 	maxRetries int
@@ -87,11 +78,6 @@ type ClientOptions struct {
 	// DisableKeepAlives forces one TLS handshake per request — only the
 	// connection-cost ablation (DESIGN.md §5) wants this.
 	DisableKeepAlives bool
-	// ProtocolV1 pins the client to the legacy unversioned wire protocol
-	// (v1 paths, {"error": text} bodies, lossy status-only error
-	// mapping). Pre-v2 deployments and the compatibility regression tests
-	// use this; v2-only operations return ErrRequiresV2.
-	ProtocolV1 bool
 	// MaxRetries enables automatic retries: up to this many re-issues of a
 	// request that failed with a Retryable wire error (conflict, draining,
 	// resource_exhausted), after a jittered exponential backoff that
@@ -167,7 +153,6 @@ func NewClient(opts ClientOptions) *Client {
 		profile:    opts.Profile,
 		clock:      opts.Clock,
 		timeout:    opts.Timeout,
-		v1:         opts.ProtocolV1,
 		maxRetries: opts.MaxRetries,
 		retryBase:  opts.RetryBaseDelay,
 		retryMax:   opts.RetryMaxDelay,
@@ -177,14 +162,6 @@ func NewClient(opts ClientOptions) *Client {
 // CloseIdle drops pooled connections; call when a stakeholder is done with
 // the instance for a while.
 func (c *Client) CloseIdle() { c.transport.CloseIdleConnections() }
-
-// ProtocolVersion reports the wire protocol generation this client speaks.
-func (c *Client) ProtocolVersion() int {
-	if c.v1 {
-		return 1
-	}
-	return wire.Version
-}
 
 // NewClientCertificate mints a self-signed client certificate; its
 // fingerprint becomes the client's identity at the instance (§IV-E).
@@ -214,14 +191,6 @@ func (c *Client) charge(reqBytes, respBytes int, tracker *simclock.Tracker) {
 		return
 	}
 	c.clock.Sleep(d)
-}
-
-// path roots an endpoint path for the selected protocol generation.
-func (c *Client) path(p string) string {
-	if c.v1 {
-		return p
-	}
-	return wire.PathPrefix + p
 }
 
 // doRaw performs one JSON exchange and returns the raw outcome; error
@@ -263,9 +232,8 @@ func (c *Client) doRaw(ctx context.Context, method, path string, in any, headers
 	return resp.StatusCode, resp.Header, raw, nil
 }
 
-// do performs a JSON request against the selected protocol generation,
-// decoding error bodies into errors that satisfy errors.Is against the
-// core sentinels. With MaxRetries set, Retryable failures (conflict,
+// do performs a JSON request, decoding error bodies into errors that
+// satisfy errors.Is against the core sentinels. With MaxRetries set, Retryable failures (conflict,
 // draining, resource_exhausted) are re-issued after a jittered
 // exponential backoff; terminal errors and transport failures return
 // immediately. Watch long-polls go through doOnce instead — see
@@ -293,12 +261,12 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, track
 
 // doOnce is one request/response exchange with no retry policy.
 func (c *Client) doOnce(ctx context.Context, method, path string, in, out any, tracker *simclock.Tracker) error {
-	status, _, raw, err := c.doRaw(ctx, method, c.path(path), in, nil, tracker)
+	status, _, raw, err := c.doRaw(ctx, method, wire.PathPrefix+path, in, nil, tracker)
 	if err != nil {
 		return err
 	}
 	if status >= 400 {
-		return c.decodeError(method, path, status, raw)
+		return decodeError(method, path, status, raw)
 	}
 	if out != nil {
 		if err := json.Unmarshal(raw, out); err != nil {
@@ -333,62 +301,26 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
+// maxErrorExcerpt bounds how much of a non-envelope error body (a proxy's
+// HTML page, say) is quoted in the client-side error.
+const maxErrorExcerpt = 256
+
 // decodeError reconstructs a client-side error from an error response
-// body: the v2 structured envelope when present, the legacy v1
-// {"error": text} + status mapping otherwise.
-func (c *Client) decodeError(method, path string, status int, raw []byte) error {
-	if !c.v1 {
-		var we wire.Error
-		if json.Unmarshal(raw, &we) == nil && we.Code != "" {
-			if we.Status == 0 {
-				we.Status = status
-			}
-			return errorFromWire(&we)
+// body. Anything that is not the structured envelope reports method, path,
+// status and a body excerpt, and deliberately matches no sentinel: a
+// status code alone does not say which instance error occurred.
+func decodeError(method, path string, status int, raw []byte) error {
+	var we wire.Error
+	if json.Unmarshal(raw, &we) == nil && we.Code != "" {
+		if we.Status == 0 {
+			we.Status = status
 		}
+		return errorFromWire(&we)
 	}
-	var e struct {
-		Error string `json:"error"`
+	if len(raw) > maxErrorExcerpt {
+		raw = raw[:maxErrorExcerpt]
 	}
-	if json.Unmarshal(raw, &e) == nil && e.Error != "" {
-		return remoteError(status, e.Error)
-	}
-	return fmt.Errorf("core: %s %s: status %d", method, path, status)
-}
-
-// remoteError maps v1 HTTP statuses back onto the sentinel errors so
-// callers can errors.Is across the wire. The mapping is lossy (v1 carried
-// only the status): board rejections read back as ErrAccessDenied,
-// strict-restart and stale-tag refusals as ErrAttestation. The v2
-// envelope's code field is exact — one of the reasons v2 exists.
-func remoteError(status int, msg string) error {
-	var sentinel error
-	switch status {
-	case http.StatusNotFound:
-		sentinel = ErrPolicyNotFound
-	case http.StatusForbidden:
-		sentinel = ErrAccessDenied
-	case http.StatusConflict:
-		sentinel = ErrPolicyExists
-	case http.StatusPreconditionFailed:
-		sentinel = ErrConflict
-	case http.StatusUnauthorized:
-		sentinel = ErrAttestation
-	case http.StatusServiceUnavailable:
-		sentinel = ErrDraining
-	default:
-		// Unknown status: still report the code instead of dropping it
-		// (the old default returned the bare message, losing the status).
-		return fmt.Errorf("core: remote error (HTTP %d): %s", status, msg)
-	}
-	return fmt.Errorf("%w: %s", sentinel, msg)
-}
-
-// requireV2 guards the v2-only surface.
-func (c *Client) requireV2(op string) error {
-	if c.v1 {
-		return fmt.Errorf("%w: %s", ErrRequiresV2, op)
-	}
-	return nil
+	return fmt.Errorf("core: %s %s: status %d: %s", method, path, status, bytes.TrimSpace(raw))
 }
 
 // --- Policy CRUD -------------------------------------------------------------
@@ -407,17 +339,14 @@ func (c *Client) ReadPolicy(ctx context.Context, name string) (*policy.Policy, e
 	return &p, nil
 }
 
-// ReadPolicyIfChanged is the revision-aware read (v2): it presents the
+// ReadPolicyIfChanged is the revision-aware read: it presents the
 // known (CreateID, Revision) pair as an If-None-Match entity tag and the
 // server answers 304 — no body, no policy encode, no board round trip —
 // when the stored policy still matches. modified=false with a nil policy
 // means the caller's copy is current.
 func (c *Client) ReadPolicyIfChanged(ctx context.Context, name string, knownCreateID, knownRev uint64) (p *policy.Policy, modified bool, err error) {
-	if err := c.requireV2("conditional read"); err != nil {
-		return nil, false, err
-	}
 	headers := map[string]string{"If-None-Match": wire.ETag(knownCreateID, knownRev)}
-	status, _, raw, err := c.doRaw(ctx, http.MethodGet, c.path("/policies/"+name), nil, headers, nil)
+	status, _, raw, err := c.doRaw(ctx, http.MethodGet, wire.PathPrefix+"/policies/"+name, nil, headers, nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -425,7 +354,7 @@ func (c *Client) ReadPolicyIfChanged(ctx context.Context, name string, knownCrea
 	case status == http.StatusNotModified:
 		return nil, false, nil
 	case status >= 400:
-		return nil, false, c.decodeError(http.MethodGet, "/policies/"+name, status, raw)
+		return nil, false, decodeError(http.MethodGet, "/policies/"+name, status, raw)
 	}
 	var got policy.Policy
 	if err := json.Unmarshal(raw, &got); err != nil {
@@ -444,13 +373,10 @@ func (c *Client) DeletePolicy(ctx context.Context, name string) error {
 	return c.do(ctx, http.MethodDelete, "/policies/"+name, nil, nil, nil)
 }
 
-// ListPolicies returns one page of stored policy names (v2). Empty after
+// ListPolicies returns one page of stored policy names. Empty after
 // starts at the beginning; limit<=0 uses the server default. Follow
 // PolicyList.NextAfter until it comes back empty.
 func (c *Client) ListPolicies(ctx context.Context, after string, limit int) (*wire.PolicyList, error) {
-	if err := c.requireV2("list policies"); err != nil {
-		return nil, err
-	}
 	q := url.Values{}
 	if after != "" {
 		q.Set("after", after)
@@ -477,9 +403,6 @@ func (c *Client) ListPolicies(ctx context.Context, after string, limit int) (*wi
 // effective window is additionally capped below the client's own request
 // timeout so the poll completes as a response, not a transport error.
 func (c *Client) WatchPolicy(ctx context.Context, name string, sinceRev, sinceCreateID uint64, window time.Duration) (*wire.WatchResponse, error) {
-	if err := c.requireV2("watch policy"); err != nil {
-		return nil, err
-	}
 	if window <= 0 {
 		window = defaultWatchWindow
 	}
@@ -512,13 +435,6 @@ func (c *Client) WatchPolicy(ctx context.Context, name string, sinceRev, sinceCr
 // receives the modelled network latency instead of sleeping.
 func (c *Client) FetchSecrets(ctx context.Context, policyName string, names []string, tracker *simclock.Tracker) (map[string]string, error) {
 	req := wire.FetchSecretsRequest{Names: names}
-	if c.v1 {
-		var out map[string]string
-		if err := c.do(ctx, http.MethodPost, "/policies/"+policyName+"/secrets", req, &out, tracker); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
 	var out wire.SecretsResponse
 	if err := c.do(ctx, http.MethodPost, "/policies/"+policyName+"/secrets", req, &out, tracker); err != nil {
 		return nil, err
@@ -527,14 +443,11 @@ func (c *Client) FetchSecrets(ctx context.Context, policyName string, names []st
 }
 
 // Batch pipelines heterogeneous operations — secret fetches across
-// policies, policy reads, tag pushes — in ONE round trip (v2): under a
+// policies, policy reads, tag pushes — in ONE round trip: under a
 // WAN profile the whole batch costs a single modelled RTT where
 // sequential calls pay one each (the Fig 12 collapse). Results come back
 // in op order; ops fail independently via their Error field.
 func (c *Client) Batch(ctx context.Context, ops []wire.BatchOp, tracker *simclock.Tracker) ([]wire.BatchResult, error) {
-	if err := c.requireV2("batch"); err != nil {
-		return nil, err
-	}
 	var resp wire.BatchResponse
 	if err := c.do(ctx, http.MethodPost, "/batch", wire.BatchRequest{Ops: ops}, &resp, tracker); err != nil {
 		return nil, err
@@ -588,6 +501,10 @@ func reportBindsKey(reportData []byte, publicKey []byte) bool {
 	keyHash := attest.KeyHash(publicKey)
 	return hmac.Equal(reportData, keyHash[:])
 }
+
+// AttestationDoc is the explicit-attestation bundle (§IV-B): the IAS report
+// binding the instance identity key to the PALÆMON MRE.
+type AttestationDoc = wire.AttestationDoc
 
 // Attestation fetches the explicit-attestation document.
 func (c *Client) Attestation(ctx context.Context) (*AttestationDoc, error) {

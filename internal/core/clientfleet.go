@@ -18,9 +18,6 @@ import (
 // (GET /v2/fleet). Callers MUST verify the signature and epoch before
 // routing by it.
 func (c *Client) FetchFleetDoc(ctx context.Context) (*wire.FleetDoc, error) {
-	if err := c.requireV2("fleet discovery"); err != nil {
-		return nil, err
-	}
 	var doc wire.FleetDoc
 	if err := c.do(ctx, http.MethodGet, "/fleet", nil, &doc, nil); err != nil {
 		return nil, err
@@ -31,9 +28,6 @@ func (c *Client) FetchFleetDoc(ctx context.Context) (*wire.FleetDoc, error) {
 // ReplState fetches the leader's bootstrap state (GET /v2/repl/state);
 // follower-only (the server checks the client certificate fingerprint).
 func (c *Client) ReplState(ctx context.Context) (*wire.ReplState, error) {
-	if err := c.requireV2("replication"); err != nil {
-		return nil, err
-	}
 	var st wire.ReplState
 	if err := c.do(ctx, http.MethodGet, "/repl/state", nil, &st, nil); err != nil {
 		return nil, err
@@ -47,9 +41,6 @@ func (c *Client) ReplState(ctx context.Context) (*wire.ReplState, error) {
 // keep-alive). The effective window is capped below the client's own
 // request timeout, like the watch long-poll.
 func (c *Client) ReplTail(ctx context.Context, from uint64, max int, wait time.Duration) (*wire.ReplTailResponse, error) {
-	if err := c.requireV2("replication"); err != nil {
-		return nil, err
-	}
 	if lim := c.timeout - time.Second; wait > 0 {
 		if lim <= 0 {
 			lim = c.timeout / 2

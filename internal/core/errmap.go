@@ -10,22 +10,19 @@ import (
 )
 
 // This file is the bidirectional mapping between the core sentinel errors
-// and the v2 structured error envelope (wire.Error). The server side
+// and the structured error envelope (wire.Error). The server side
 // (wireFromError) classifies an instance error into {code, message,
 // retryable, status}; the client side (errorFromWire) reconstructs an
 // error that satisfies errors.Is against the same sentinel — so a caller
 // cannot tell from the error whether the instance was local or remote.
-//
-// The v1 status-only mapping was lossy in both directions (board
-// rejections read back as ErrAccessDenied, strict-restart and stale-tag
-// refusals as ErrAttestation, unknown statuses as bare text); the code
-// field keeps the v2 round trip exact.
+// A status alone cannot do that (board rejections and access denials share
+// 403; strict-restart, stale-tag and attestation refusals share 401); the
+// code field keeps the round trip exact.
 
 // sentinelCodes pairs each core sentinel with its wire code, status, and
 // retryability. Order matters for classification: more specific sentinels
-// come before the ones v1 folded them into (e.g. a conflict wrapped inside
-// an attestation failure classifies as conflict, matching v1's status
-// precedence).
+// come before the broader ones that may wrap them (e.g. a conflict wrapped
+// inside an attestation failure classifies as conflict).
 var sentinelCodes = []struct {
 	sentinel  error
 	code      string
@@ -54,7 +51,7 @@ var policyValidationSentinels = []error{
 	policy.ErrNoMRE, policy.ErrBadThreshold,
 }
 
-// wireFromError classifies err into the v2 envelope. A *wire.Error passes
+// wireFromError classifies err into the envelope. A *wire.Error passes
 // through unchanged (handlers that already speak the envelope, e.g. batch
 // size refusal).
 func wireFromError(err error) *wire.Error {
@@ -87,7 +84,7 @@ var codeSentinels = func() map[string]error {
 // errorFromWire reconstructs a client-side error from the envelope:
 // sentinel-coded envelopes wrap the sentinel for errors.Is; anything else
 // surfaces the envelope itself, which still reports code and HTTP status
-// explicitly (the v1 default branch dropped both).
+// explicitly.
 func errorFromWire(e *wire.Error) error {
 	if e == nil {
 		return nil
@@ -134,12 +131,4 @@ func RetryAfter(err error) time.Duration {
 		return time.Duration(we.RetryAfterMS) * time.Millisecond
 	}
 	return 0
-}
-
-// v1StatusOf keeps the legacy status mapping for the v1 adapter handlers;
-// it reuses the same classification table so the two surfaces cannot
-// drift. (v1 collapsed validation errors to 400 and everything unknown to
-// 500, which this preserves.)
-func v1StatusOf(err error) int {
-	return wireFromError(err).Status
 }

@@ -221,8 +221,7 @@ func (i *Instance) CacheStats() CacheStats {
 
 // loadSnapshot decodes the stored policy and builds its derived release
 // artefacts. It reads the database only — no cache, no stripe locks — and
-// preserves getPolicy's error contract (ErrPolicyNotFound vs unhealthy
-// store).
+// tells a missing policy (ErrPolicyNotFound) from an unhealthy store.
 func (i *Instance) loadSnapshot(name string) (*policySnapshot, error) {
 	raw, err := i.db.Get(bucketPolicies, name)
 	if errors.Is(err, kvdb.ErrNotFound) {

@@ -432,14 +432,3 @@ func (i *Instance) putPolicy(p *policy.Policy) error {
 	i.watchers.notify(p.Name)
 	return nil
 }
-
-// getPolicy returns a private mutable copy of the stored policy for
-// callers holding no policy stripe lock. Write paths that already hold
-// the per-name lock use snapshotLocked directly.
-func (i *Instance) getPolicy(name string) (*policy.Policy, error) {
-	s, err := i.snapshot(name)
-	if err != nil {
-		return nil, err
-	}
-	return s.pol.Clone(), nil
-}

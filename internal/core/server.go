@@ -16,8 +16,6 @@ import (
 	"palaemon/internal/cryptoutil"
 	"palaemon/internal/ias"
 	"palaemon/internal/obs"
-	"palaemon/internal/policy"
-	"palaemon/internal/wire"
 )
 
 // Server exposes an Instance over the REST/TLS API (§IV-E). Two attestation
@@ -67,7 +65,7 @@ type ServerOptions struct {
 	IAS *ias.Service
 	// Addr defaults to a dynamic loopback port.
 	Addr string
-	// Limits enables the admission-control layer on the /v2 surface
+	// Limits enables the admission-control layer in front of every route
 	// (per-tenant token buckets + the instance-wide concurrency gate,
 	// admission.go). Nil disables it.
 	Limits *AdmissionLimits
@@ -86,10 +84,10 @@ type ServerOptions struct {
 	// and audit records for admission rejections. Usually the same bundle
 	// passed to core.Open. Nil disables the middleware entirely.
 	Obs *obs.Obs
-	// Fleet mounts the fleet surface (serverfleet.go): the signed
-	// discovery document, shard-ownership enforcement with wrong_shard
-	// redirects, and the follower replication feed. Nil for a standalone
-	// server — the fleet routes then simply do not exist.
+	// Fleet mounts the fleetOnly rows of the route table (routes.go): the
+	// signed discovery document, shard-ownership enforcement with
+	// wrong_shard redirects, and the follower replication feed. Nil for a
+	// standalone server — the fleet routes then simply do not exist.
 	Fleet *FleetHooks
 	// WrapListener wraps the raw TCP listener BEFORE the TLS layer; the
 	// fleet kill-a-shard tests use it to black-hole a shard at the
@@ -182,25 +180,7 @@ func Serve(inst *Instance, opts ServerOptions) (*Server, error) {
 	ln := tls.NewListener(rawLn, tlsCfg)
 
 	mux := http.NewServeMux()
-	// v1 compatibility surface: thin adapters over the same instance ops
-	// the v2 handlers use, kept so pre-v2 clients keep working unchanged
-	// (legacy response shapes, {"error": text} bodies, status-only error
-	// mapping).
-	mux.HandleFunc("POST /policies", s.handleCreatePolicy)
-	mux.HandleFunc("GET /policies/{name}", s.handleReadPolicy)
-	mux.HandleFunc("PUT /policies/{name}", s.handleUpdatePolicy)
-	mux.HandleFunc("DELETE /policies/{name}", s.handleDeletePolicy)
-	mux.HandleFunc("POST /policies/{name}/secrets", s.handleFetchSecrets)
-	mux.HandleFunc("POST /attest", s.handleAttest)
-	mux.HandleFunc("POST /tags", s.handlePushTag)
-	mux.HandleFunc("GET /tags/{policy}/{service}", s.handleReadTag)
-	mux.HandleFunc("POST /exit", s.handleExit)
-	mux.HandleFunc("GET /attestation", s.handleAttestation)
-	mux.HandleFunc("POST /challenge", s.handleChallenge)
-	// v2: the typed wire contract (serverv2.go).
-	s.registerV2(mux)
-	// Fleet surface (serverfleet.go); no-op without ServerOptions.Fleet.
-	s.registerFleet(mux)
+	s.mount(mux)
 
 	writeBudget := timeoutOrDefault(opts.RequestWriteTimeout, defaultWriteBudget)
 	// The write deadline is per REQUEST, not per connection (http.Server's
@@ -269,16 +249,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeErr renders the v1 error shape: {"error": text} plus a bare HTTP
-// status. The status comes from the same classification table the v2
-// envelope uses (errmap.go), so the two surfaces cannot drift. The wire
-// code lands in the request's obs state so the canonical log line and the
-// error counter label errors uniformly across both surfaces.
-func writeErr(w http.ResponseWriter, r *http.Request, err error) {
-	obs.RequestFrom(r.Context()).SetCode(wireFromError(err).Code)
-	writeJSON(w, v1StatusOf(err), map[string]string{"error": err.Error()})
-}
-
 // timeoutOrDefault resolves an option: zero means the default, negative
 // disables (returns 0, which http.Server treats as "no timeout").
 func timeoutOrDefault(d, def time.Duration) time.Duration {
@@ -289,207 +259,4 @@ func timeoutOrDefault(d, def time.Duration) time.Duration {
 		return 0
 	}
 	return d
-}
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	defer r.Body.Close()
-	// Same symmetric cap as the client's response read. MaxBytesReader
-	// (unlike the io.LimitReader it replaces) makes overflow an explicit
-	// error instead of silently truncating — a truncated JSON body used to
-	// surface as a misleading syntax error, or worse, decode a valid prefix.
-	// It also closes the connection so the client stops uploading.
-	body := http.MaxBytesReader(w, r.Body, wire.MaxResponseBytes)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return fmt.Errorf("%w (limit %d bytes)", ErrPayloadTooLarge, mbe.Limit)
-		}
-		return err
-	}
-	return nil
-}
-
-// writeDecodeErr renders a decodeBody failure on the v1 surface: oversized
-// bodies go through the shared classification (413), everything else keeps
-// the legacy bare-400 shape.
-func writeDecodeErr(w http.ResponseWriter, r *http.Request, err error) {
-	if errors.Is(err, ErrPayloadTooLarge) {
-		writeErr(w, r, err)
-		return
-	}
-	obs.RequestFrom(r.Context()).SetCode(wire.CodeBadRequest)
-	writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-}
-
-func (s *Server) handleCreatePolicy(w http.ResponseWriter, r *http.Request) {
-	id, ok := clientID(r)
-	if !ok {
-		writeErr(w, r, ErrAccessDenied)
-		return
-	}
-	var p policy.Policy
-	if err := decodeBody(w, r, &p); err != nil {
-		writeDecodeErr(w, r, err)
-		return
-	}
-	if err := s.inst.CreatePolicy(r.Context(), id, &p); err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]string{"name": p.Name})
-}
-
-func (s *Server) handleReadPolicy(w http.ResponseWriter, r *http.Request) {
-	id, ok := clientID(r)
-	if !ok {
-		writeErr(w, r, ErrAccessDenied)
-		return
-	}
-	p, err := s.inst.ReadPolicy(r.Context(), id, r.PathValue("name"))
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, p)
-}
-
-func (s *Server) handleUpdatePolicy(w http.ResponseWriter, r *http.Request) {
-	id, ok := clientID(r)
-	if !ok {
-		writeErr(w, r, ErrAccessDenied)
-		return
-	}
-	var p policy.Policy
-	if err := decodeBody(w, r, &p); err != nil {
-		writeDecodeErr(w, r, err)
-		return
-	}
-	if p.Name != r.PathValue("name") {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "policy name mismatch"})
-		return
-	}
-	if err := s.inst.UpdatePolicy(r.Context(), id, &p); err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"name": p.Name})
-}
-
-func (s *Server) handleDeletePolicy(w http.ResponseWriter, r *http.Request) {
-	id, ok := clientID(r)
-	if !ok {
-		writeErr(w, r, ErrAccessDenied)
-		return
-	}
-	if err := s.inst.DeletePolicy(r.Context(), id, r.PathValue("name")); err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"deleted": r.PathValue("name")})
-}
-
-// fetchSecretsRequest selects secrets to retrieve. v1 and v2 share the
-// wire DTO (the v1 shape was already identical).
-type fetchSecretsRequest = wire.FetchSecretsRequest
-
-func (s *Server) handleFetchSecrets(w http.ResponseWriter, r *http.Request) {
-	id, ok := clientID(r)
-	if !ok {
-		writeErr(w, r, ErrAccessDenied)
-		return
-	}
-	var req fetchSecretsRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeDecodeErr(w, r, err)
-		return
-	}
-	secrets, err := s.inst.FetchSecrets(r.Context(), id, r.PathValue("name"), req.Names)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, secrets)
-}
-
-// attestRequest carries application evidence plus the platform quoting
-// key; shared with v2 via the wire contract.
-type attestRequest = wire.AttestRequest
-
-func (s *Server) handleAttest(w http.ResponseWriter, r *http.Request) {
-	var req attestRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeDecodeErr(w, r, err)
-		return
-	}
-	cfg, err := s.inst.AttestApplication(r.Context(), req.Evidence, req.QuotingKey)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, cfg)
-}
-
-// tagPush carries a tag update or exit notification; shared with v2.
-type tagPush = wire.TagPush
-
-func (s *Server) handlePushTag(w http.ResponseWriter, r *http.Request) {
-	var req tagPush
-	if err := decodeBody(w, r, &req); err != nil {
-		writeDecodeErr(w, r, err)
-		return
-	}
-	if err := s.inst.PushTag(req.Token, req.Tag); err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
-}
-
-func (s *Server) handleReadTag(w http.ResponseWriter, r *http.Request) {
-	tag, err := s.inst.ExpectedTag(r.PathValue("policy"), r.PathValue("service"))
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"tag": tag.String()})
-}
-
-func (s *Server) handleExit(w http.ResponseWriter, r *http.Request) {
-	var req tagPush
-	if err := decodeBody(w, r, &req); err != nil {
-		writeDecodeErr(w, r, err)
-		return
-	}
-	if err := s.inst.NotifyExit(req.Token, req.Tag); err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
-}
-
-// AttestationDoc is the explicit-attestation bundle (§IV-B): the IAS report
-// binding the instance identity key to the PALÆMON MRE. The concrete type
-// is the wire DTO, shared by v1 and v2.
-type AttestationDoc = wire.AttestationDoc
-
-func (s *Server) handleAttestation(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, AttestationDoc{
-		Report:    s.iasReport,
-		PublicKey: s.inst.PublicKey(),
-		MRE:       s.inst.MRE().String(),
-	})
-}
-
-// challengeExchange proves the instance holds the identity private key;
-// shared with v2.
-type challengeExchange = wire.ChallengeRequest
-
-func (s *Server) handleChallenge(w http.ResponseWriter, r *http.Request) {
-	var req challengeExchange
-	if err := decodeBody(w, r, &req); err != nil {
-		writeDecodeErr(w, r, err)
-		return
-	}
-	resp := attest.Respond(req.Challenge, s.inst.signer, "palaemon-instance")
-	writeJSON(w, http.StatusOK, resp)
 }

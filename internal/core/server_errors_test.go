@@ -29,6 +29,25 @@ func rawHTTPClient(t *testing.T, s *stack, withCert bool) *http.Client {
 	return &http.Client{Transport: &http.Transport{TLSClientConfig: cfg}}
 }
 
+// rawDo sends one request and returns the status and body.
+func rawDo(t *testing.T, c *http.Client, method, url, body string) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body != "" {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, raw
+}
+
 // TestServerHandlerErrorPaths is the table-driven sweep of the REST error
 // mapping: unauthenticated clients, malformed JSON, unknown policies.
 func TestServerHandlerErrorPaths(t *testing.T) {
@@ -54,58 +73,44 @@ func TestServerHandlerErrorPaths(t *testing.T) {
 		wantStatus int
 	}{
 		// Unauthenticated client ID: no certificate presented at all.
-		{"create without cert", bare, "POST", "/policies", `{"name":"x"}`, http.StatusForbidden},
-		{"read without cert", bare, "GET", "/policies/x", "", http.StatusForbidden},
-		{"update without cert", bare, "PUT", "/policies/x", `{"name":"x"}`, http.StatusForbidden},
-		{"delete without cert", bare, "DELETE", "/policies/x", "", http.StatusForbidden},
-		{"secrets without cert", bare, "POST", "/policies/x/secrets", `{}`, http.StatusForbidden},
+		{"create without cert", bare, "POST", "/v2/policies", `{"name":"x"}`, http.StatusForbidden},
+		{"read without cert", bare, "GET", "/v2/policies/x", "", http.StatusForbidden},
+		{"update without cert", bare, "PUT", "/v2/policies/x", `{"name":"x"}`, http.StatusForbidden},
+		{"delete without cert", bare, "DELETE", "/v2/policies/x", "", http.StatusForbidden},
+		{"secrets without cert", bare, "POST", "/v2/policies/x/secrets", `{}`, http.StatusForbidden},
 
 		// Malformed JSON bodies.
-		{"create bad json", authed, "POST", "/policies", `{"name":`, http.StatusBadRequest},
-		{"update bad json", authed, "PUT", "/policies/x", `not-json`, http.StatusBadRequest},
-		{"secrets bad json", authed, "POST", "/policies/x/secrets", `]`, http.StatusBadRequest},
-		{"attest bad json", authed, "POST", "/attest", `{{`, http.StatusBadRequest},
-		{"tags bad json", authed, "POST", "/tags", `"`, http.StatusBadRequest},
-		{"exit bad json", authed, "POST", "/exit", `nope{`, http.StatusBadRequest},
-		{"challenge bad json", authed, "POST", "/challenge", `[`, http.StatusBadRequest},
+		{"create bad json", authed, "POST", "/v2/policies", `{"name":`, http.StatusBadRequest},
+		{"update bad json", authed, "PUT", "/v2/policies/x", `not-json`, http.StatusBadRequest},
+		{"secrets bad json", authed, "POST", "/v2/policies/x/secrets", `]`, http.StatusBadRequest},
+		{"attest bad json", authed, "POST", "/v2/attest", `{{`, http.StatusBadRequest},
+		{"tags bad json", authed, "POST", "/v2/tags", `"`, http.StatusBadRequest},
+		{"exit bad json", authed, "POST", "/v2/exit", `nope{`, http.StatusBadRequest},
+		{"challenge bad json", authed, "POST", "/v2/challenge", `[`, http.StatusBadRequest},
 
 		// Unknown policy.
-		{"read unknown policy", authed, "GET", "/policies/no-such", "", http.StatusNotFound},
-		{"update unknown policy", authed, "PUT", "/policies/no-such", marshalPolicy("no-such"), http.StatusNotFound},
-		{"delete unknown policy", authed, "DELETE", "/policies/no-such", "", http.StatusNotFound},
-		{"secrets unknown policy", authed, "POST", "/policies/no-such/secrets", `{}`, http.StatusNotFound},
+		{"read unknown policy", authed, "GET", "/v2/policies/no-such", "", http.StatusNotFound},
+		{"update unknown policy", authed, "PUT", "/v2/policies/no-such", marshalPolicy("no-such"), http.StatusNotFound},
+		{"delete unknown policy", authed, "DELETE", "/v2/policies/no-such", "", http.StatusNotFound},
+		{"secrets unknown policy", authed, "POST", "/v2/policies/no-such/secrets", `{}`, http.StatusNotFound},
 
 		// Name mismatch between path and body.
-		{"update name mismatch", authed, "PUT", "/policies/a", marshalPolicy("b"), http.StatusBadRequest},
+		{"update name mismatch", authed, "PUT", "/v2/policies/a", marshalPolicy("b"), http.StatusBadRequest},
 
 		// Invalid policy content (validation errors map to 400).
-		{"create invalid policy", authed, "POST", "/policies", `{"name":""}`, http.StatusBadRequest},
+		{"create invalid policy", authed, "POST", "/v2/policies", `{"name":""}`, http.StatusBadRequest},
 
 		// Stale/unknown session token.
-		{"push unknown token", authed, "POST", "/tags", `{"token":"nope","tag":[0]}`, http.StatusUnauthorized},
-		{"exit unknown token", authed, "POST", "/exit", `{"token":"nope","tag":[0]}`, http.StatusUnauthorized},
+		{"push unknown token", authed, "POST", "/v2/tags", `{"token":"nope","tag":[0]}`, http.StatusUnauthorized},
+		{"exit unknown token", authed, "POST", "/v2/exit", `{"token":"nope","tag":[0]}`, http.StatusUnauthorized},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			req, err := http.NewRequest(tc.method, s.server.URL()+tc.path, strings.NewReader(tc.body))
-			if err != nil {
-				t.Fatal(err)
+			status, raw := rawDo(t, tc.client, tc.method, s.server.URL()+tc.path, tc.body)
+			if status != tc.wantStatus {
+				t.Fatalf("status %d, want %d; body %s", status, tc.wantStatus, raw)
 			}
-			if tc.body != "" {
-				req.Header.Set("Content-Type", "application/json")
-			}
-			resp, err := tc.client.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			raw, _ := io.ReadAll(resp.Body)
-			if resp.StatusCode != tc.wantStatus {
-				t.Fatalf("status %d, want %d; body %s", resp.StatusCode, tc.wantStatus, raw)
-			}
-			if !strings.Contains(string(raw), "error") {
-				t.Fatalf("error body missing: %s", raw)
-			}
+			decodeEnvelope(t, raw)
 		})
 	}
 }

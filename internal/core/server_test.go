@@ -25,7 +25,11 @@ type stack struct {
 	server   *Server
 }
 
-func newStack(t *testing.T) *stack {
+func newStack(t *testing.T) *stack { return newStackWith(t, nil) }
+
+// newStackWith is newStack with the server options adjusted by tune
+// (admission limits, fleet hooks).
+func newStackWith(t *testing.T, tune func(*ServerOptions)) *stack {
 	t.Helper()
 	model := sgx.DefaultCostModel()
 	model.CounterInterval = 0
@@ -50,7 +54,11 @@ func newStack(t *testing.T) *stack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	server, err := Serve(inst, ServerOptions{Authority: auth, IAS: iasSvc})
+	opts := ServerOptions{Authority: auth, IAS: iasSvc}
+	if tune != nil {
+		tune(&opts)
+	}
+	server, err := Serve(inst, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,10 @@ import (
 	"palaemon/internal/wire"
 )
 
-// This file is the server half of the fleet surface (DESIGN.md §14):
-// GET /v2/fleet serves the signed discovery document, GET /v2/repl/state
-// and GET /v2/repl/tail feed followers, and shardCheck turns a request
+// This file is the server half of the fleet surface (DESIGN.md §14), the
+// fleetOnly rows of the route table (routes.go): GET /v2/fleet serves the
+// signed discovery document, GET /v2/repl/state and GET /v2/repl/tail
+// feed followers, and shardCheck turns a request
 // for a policy this shard does not own into the typed wrong_shard
 // envelope carrying the owner's endpoint. The server stays fleet-agnostic:
 // everything topology-shaped comes in through FleetHooks, so internal/fleet
@@ -38,28 +39,6 @@ type FleetHooks struct {
 // maxReplWait caps the /v2/repl/tail long-poll window, mirroring the
 // watch long-poll cap.
 const maxReplWait = maxWatchWindow
-
-// registerFleet mounts the fleet surface; no-op for standalone servers.
-func (s *Server) registerFleet(mux *http.ServeMux) {
-	if s.fleet == nil {
-		return
-	}
-	// The discovery document needs no client certificate: a client must be
-	// able to bootstrap routing before it has talked to any shard, and the
-	// document's integrity comes from its signature, not the channel.
-	mux.HandleFunc(wire.PathPrefix+"/fleet", s.admit(true, s.v2Route(map[string]http.HandlerFunc{
-		http.MethodGet: s.v2FleetDoc,
-	})))
-	mux.HandleFunc(wire.PathPrefix+"/repl/state", s.admit(true, s.v2Route(map[string]http.HandlerFunc{
-		http.MethodGet: s.v2ReplState,
-	})))
-	// The tail long-poll is exempt from the concurrency gate for the same
-	// reason the watch long-poll is: a parked poll must not starve real
-	// work out of admission slots.
-	mux.HandleFunc(wire.PathPrefix+"/repl/tail", s.admit(false, s.v2Route(map[string]http.HandlerFunc{
-		http.MethodGet: s.v2ReplTail,
-	})))
-}
 
 // shardCheck enforces ring ownership on a policy-addressed request. It
 // returns true when the request may proceed; otherwise it has already

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"mime"
 	"net/http"
 	"strconv"
 	"time"
@@ -16,13 +15,10 @@ import (
 	"palaemon/internal/wire"
 )
 
-// This file is the v2 wire surface (DESIGN.md §9): the typed handlers
-// behind /v2/*. Everything — success payloads, errors, method and
+// This file holds the typed handlers behind the route table (routes.go,
+// DESIGN.md §9). Everything — success payloads, errors, method and
 // content-type refusals — is expressed in the wire contract package, so
-// the server and the typed Client share one source of truth. v2 adds what
-// the scale story needs over v1: paginated listing, one-round-trip
-// batches, revision-based conditional reads (ETag/If-None-Match answered
-// from the policy cache's snapshot revision), and the watch long-poll.
+// the server and the typed Client share one source of truth.
 
 // Watch long-poll bounds: the default window when the client names none,
 // and the cap protecting the server from immortal polls.
@@ -31,88 +27,7 @@ const (
 	maxWatchWindow     = 60 * time.Second
 )
 
-// registerV2 mounts the v2 surface on the server mux. Patterns carry no
-// method: v2Route dispatches by method itself so a mismatch yields the
-// structured envelope (405 + method_not_allowed), never net/http's
-// plain-text error page. Every route passes through the admission layer
-// (admission.go) first; the watch long-poll is rate-limited but exempt
-// from the concurrency gate, since a parked poll holding a slot for up to
-// maxWatchWindow would let idle watchers starve real work.
-func (s *Server) registerV2(mux *http.ServeMux) {
-	mux.HandleFunc(wire.PathPrefix+"/policies", s.admit(true, s.v2Route(map[string]http.HandlerFunc{
-		http.MethodGet:  s.v2ListPolicies,
-		http.MethodPost: s.v2CreatePolicy,
-	})))
-	mux.HandleFunc(wire.PathPrefix+"/policies/{name}", s.admit(true, s.v2Route(map[string]http.HandlerFunc{
-		http.MethodGet:    s.v2ReadPolicy,
-		http.MethodPut:    s.v2UpdatePolicy,
-		http.MethodDelete: s.v2DeletePolicy,
-	})))
-	mux.HandleFunc(wire.PathPrefix+"/policies/{name}/secrets", s.admit(true, s.v2Route(map[string]http.HandlerFunc{
-		http.MethodPost: s.v2FetchSecrets,
-	})))
-	mux.HandleFunc(wire.PathPrefix+"/policies/{name}/watch", s.admit(false, s.v2Route(map[string]http.HandlerFunc{
-		http.MethodGet: s.v2WatchPolicy,
-	})))
-	mux.HandleFunc(wire.PathPrefix+"/batch", s.admit(true, s.v2Route(map[string]http.HandlerFunc{
-		http.MethodPost: s.v2Batch,
-	})))
-	mux.HandleFunc(wire.PathPrefix+"/attest", s.admit(true, s.v2Route(map[string]http.HandlerFunc{
-		http.MethodPost: s.v2Attest,
-	})))
-	mux.HandleFunc(wire.PathPrefix+"/tags", s.admit(true, s.v2Route(map[string]http.HandlerFunc{
-		http.MethodPost: s.v2PushTag,
-	})))
-	mux.HandleFunc(wire.PathPrefix+"/tags/{policy}/{service}", s.admit(true, s.v2Route(map[string]http.HandlerFunc{
-		http.MethodGet: s.v2ReadTag,
-	})))
-	mux.HandleFunc(wire.PathPrefix+"/exit", s.admit(true, s.v2Route(map[string]http.HandlerFunc{
-		http.MethodPost: s.v2Exit,
-	})))
-	mux.HandleFunc(wire.PathPrefix+"/attestation", s.admit(true, s.v2Route(map[string]http.HandlerFunc{
-		http.MethodGet: s.v2Attestation,
-	})))
-	mux.HandleFunc(wire.PathPrefix+"/challenge", s.admit(true, s.v2Route(map[string]http.HandlerFunc{
-		http.MethodPost: s.v2Challenge,
-	})))
-	// Unknown v2 paths answer with the envelope, not net/http's 404 page.
-	// Admitted too, so path probing cannot bypass the rate limit.
-	mux.HandleFunc(wire.PathPrefix+"/", s.admit(true, func(w http.ResponseWriter, r *http.Request) {
-		writeWireErr(w, r, wire.NewError(wire.CodeNotFound, http.StatusNotFound, false,
-			"core: unknown v2 path "+r.URL.Path))
-	}))
-}
-
-// v2Route dispatches by method and enforces the JSON content type on
-// bodied requests, answering violations with the structured envelope.
-func (s *Server) v2Route(methods map[string]http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		h, ok := methods[r.Method]
-		if !ok {
-			allowed := ""
-			for m := range methods {
-				if allowed != "" {
-					allowed += ", "
-				}
-				allowed += m
-			}
-			w.Header().Set("Allow", allowed)
-			writeWireErr(w, r, wire.NewError(wire.CodeMethodNotAllowed, http.StatusMethodNotAllowed, false,
-				"core: method "+r.Method+" not allowed on "+r.URL.Path))
-			return
-		}
-		if ct := r.Header.Get("Content-Type"); ct != "" && (r.Method == http.MethodPost || r.Method == http.MethodPut) {
-			if mt, _, err := mime.ParseMediaType(ct); err != nil || mt != "application/json" {
-				writeWireErr(w, r, wire.NewError(wire.CodeUnsupportedMedia, http.StatusUnsupportedMediaType, false,
-					"core: v2 request bodies must be application/json, got "+ct))
-				return
-			}
-		}
-		h(w, r)
-	}
-}
-
-// writeWireErr renders err as the v2 envelope, recording the code in the
+// writeWireErr renders err as the wire envelope, recording the code in the
 // request's obs state for the canonical log line and the error counter.
 func writeWireErr(w http.ResponseWriter, r *http.Request, err error) {
 	e := wireFromError(err)

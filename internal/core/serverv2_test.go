@@ -55,7 +55,7 @@ func decodeEnvelope(t *testing.T, raw []byte) *wire.Error {
 }
 
 // TestV2MethodAndContentType proves wrong methods, wrong content types,
-// malformed bodies and unknown v2 paths all answer with the structured
+// malformed bodies and unknown paths all answer with the structured
 // envelope — never net/http's plain-text error pages.
 func TestV2MethodAndContentType(t *testing.T) {
 	s := newStack(t)
@@ -69,21 +69,25 @@ func TestV2MethodAndContentType(t *testing.T) {
 		contentType string
 		wantStatus  int
 		wantCode    string
+		wantAllow   string // sorted, so the header is deterministic
 	}{
-		{"delete on collection", "DELETE", "/v2/policies", "", "", 405, wire.CodeMethodNotAllowed},
-		{"post on watch", "POST", "/v2/policies/x/watch", "{}", "application/json", 405, wire.CodeMethodNotAllowed},
-		{"get on batch", "GET", "/v2/batch", "", "", 405, wire.CodeMethodNotAllowed},
-		{"put on attest", "PUT", "/v2/attest", "{}", "application/json", 405, wire.CodeMethodNotAllowed},
-		{"non-json content type", "POST", "/v2/policies", "name: x", "text/plain", 415, wire.CodeUnsupportedMedia},
-		{"yaml on batch", "POST", "/v2/batch", "ops: []", "application/yaml", 415, wire.CodeUnsupportedMedia},
-		{"malformed create body", "POST", "/v2/policies", `{"name":`, "application/json", 400, wire.CodeBadRequest},
-		{"malformed batch body", "POST", "/v2/batch", `]`, "application/json", 400, wire.CodeBadRequest},
-		{"unknown v2 path", "GET", "/v2/nope", "", "", 404, wire.CodeNotFound},
-		{"watch without rev", "GET", "/v2/policies/x/watch", "", "", 400, wire.CodeBadRequest},
-		{"list with bad limit", "GET", "/v2/policies?limit=-3", "", "", 400, wire.CodeBadRequest},
-		{"invalid policy", "POST", "/v2/policies", `{"name":""}`, "application/json", 400, wire.CodeInvalidPolicy},
-		{"unknown policy", "GET", "/v2/policies/no-such", "", "", 404, wire.CodePolicyNotFound},
-		{"stale token", "POST", "/v2/tags", `{"token":"nope","tag":[0]}`, "application/json", 401, wire.CodeStaleTag},
+		{"delete on collection", "DELETE", "/v2/policies", "", "", 405, wire.CodeMethodNotAllowed, "GET, POST"},
+		{"post on watch", "POST", "/v2/policies/x/watch", "{}", "application/json", 405, wire.CodeMethodNotAllowed, "GET"},
+		{"get on batch", "GET", "/v2/batch", "", "", 405, wire.CodeMethodNotAllowed, "POST"},
+		{"patch on policy", "PATCH", "/v2/policies/x", "", "", 405, wire.CodeMethodNotAllowed, "DELETE, GET, PUT"},
+		{"put on attest", "PUT", "/v2/attest", "{}", "application/json", 405, wire.CodeMethodNotAllowed, "POST"},
+		{"non-json content type", "POST", "/v2/policies", "name: x", "text/plain", 415, wire.CodeUnsupportedMedia, ""},
+		{"yaml on batch", "POST", "/v2/batch", "ops: []", "application/yaml", 415, wire.CodeUnsupportedMedia, ""},
+		{"malformed create body", "POST", "/v2/policies", `{"name":`, "application/json", 400, wire.CodeBadRequest, ""},
+		{"malformed batch body", "POST", "/v2/batch", `]`, "application/json", 400, wire.CodeBadRequest, ""},
+		{"unknown v2 path", "GET", "/v2/nope", "", "", 404, wire.CodeNotFound, ""},
+		{"unversioned path", "GET", "/policies/x", "", "", 404, wire.CodeNotFound, ""},
+		{"fleet route on a standalone server", "GET", "/v2/repl/state", "", "", 404, wire.CodeNotFound, ""},
+		{"watch without rev", "GET", "/v2/policies/x/watch", "", "", 400, wire.CodeBadRequest, ""},
+		{"list with bad limit", "GET", "/v2/policies?limit=-3", "", "", 400, wire.CodeBadRequest, ""},
+		{"invalid policy", "POST", "/v2/policies", `{"name":""}`, "application/json", 400, wire.CodeInvalidPolicy, ""},
+		{"unknown policy", "GET", "/v2/policies/no-such", "", "", 404, wire.CodePolicyNotFound, ""},
+		{"stale token", "POST", "/v2/tags", `{"token":"nope","tag":[0]}`, "application/json", 401, wire.CodeStaleTag, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -110,15 +114,18 @@ func TestV2MethodAndContentType(t *testing.T) {
 			if e.Status != tc.wantStatus {
 				t.Fatalf("envelope status %d does not echo HTTP status %d", e.Status, tc.wantStatus)
 			}
+			if got := resp.Header.Get("Allow"); got != tc.wantAllow {
+				t.Fatalf("Allow = %q, want %q", got, tc.wantAllow)
+			}
 		})
 	}
 }
 
-// TestV2ErrorFidelity proves the v2 envelope round-trips sentinel classes
-// v1's status-only mapping destroyed: a board rejection reads back as
-// ErrBoardRejected (v1: ErrAccessDenied) and a stale tag as ErrStaleTag
-// (v1: ErrAttestation), while the envelope stays recoverable via
-// errors.As.
+// TestV2ErrorFidelity proves the envelope round-trips sentinel classes a
+// bare status cannot tell apart: a board rejection reads back as
+// ErrBoardRejected (403, like ErrAccessDenied) and a stale tag as
+// ErrStaleTag (401, like ErrAttestation), while the envelope stays
+// recoverable via errors.As.
 func TestV2ErrorFidelity(t *testing.T) {
 	s := newStack(t)
 	ctx := context.Background()
@@ -148,25 +155,6 @@ func TestV2ErrorFidelity(t *testing.T) {
 	err = cli.PushTag(ctx, "no-such-token", [32]byte{1}, nil)
 	if !errors.Is(err, ErrStaleTag) {
 		t.Fatalf("stale push read back as %v, want ErrStaleTag", err)
-	}
-
-	// The same failures through a v1 client demonstrate the loss the v2
-	// envelope fixes (and pin the legacy behaviour old clients rely on).
-	certV1, _, err := NewClientCertificate("fidelity-v1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1cli := NewClient(ClientOptions{
-		BaseURL:     s.server.URL(),
-		Roots:       s.auth.Root().Pool(),
-		Certificate: certV1,
-		ProtocolV1:  true,
-	})
-	if err := v1cli.CreatePolicy(ctx, p); !errors.Is(err, ErrAccessDenied) {
-		t.Fatalf("v1 board rejection = %v, want the (lossy) ErrAccessDenied", err)
-	}
-	if err := v1cli.PushTag(ctx, "no-such-token", [32]byte{1}, nil); !errors.Is(err, ErrAttestation) {
-		t.Fatalf("v1 stale push = %v, want the (lossy) ErrAttestation", err)
 	}
 }
 
@@ -534,20 +522,30 @@ func TestClientResponseTooLarge(t *testing.T) {
 	}
 }
 
-// TestRemoteErrorKeepsUnknownStatus pins the satellite fix: an error
-// status outside the v1 mapping still reports the HTTP code instead of
-// degrading to the bare message.
+// TestRemoteErrorKeepsUnknownStatus pins the non-envelope fallback: an
+// error body that is not the structured envelope (a proxy's page, a
+// teapot) still reports the HTTP status and a bounded body excerpt, and
+// matches no sentinel.
 func TestRemoteErrorKeepsUnknownStatus(t *testing.T) {
 	teapot := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusTeapot)
-		fmt.Fprint(w, `{"error":"short and stout"}`)
+		fmt.Fprint(w, `{"error":"short and stout"}`+strings.Repeat(" padding", 100))
 	}))
 	defer teapot.Close()
-	cli := NewClient(ClientOptions{BaseURL: teapot.URL, ProtocolV1: true})
+	cli := NewClient(ClientOptions{BaseURL: teapot.URL})
 	_, err := cli.ReadPolicy(context.Background(), "x")
 	if err == nil || !strings.Contains(err.Error(), "418") || !strings.Contains(err.Error(), "short and stout") {
 		t.Fatalf("unknown-status error dropped the code: %v", err)
+	}
+	if len(err.Error()) > 400 {
+		t.Fatalf("body excerpt is unbounded: %d bytes", len(err.Error()))
+	}
+	// 404 from something that is not PALÆMON is not "policy not found".
+	notFound := httptest.NewServer(http.NotFoundHandler())
+	defer notFound.Close()
+	_, err = NewClient(ClientOptions{BaseURL: notFound.URL}).ReadPolicy(context.Background(), "x")
+	if err == nil || errors.Is(err, ErrPolicyNotFound) {
+		t.Fatalf("plain-text 404 = %v, want an error matching no sentinel", err)
 	}
 }
 

@@ -69,15 +69,10 @@ func WriteFileFS(fsys fault.FS, path string, data []byte, perm os.FileMode) erro
 	return SyncDirFS(fsys, filepath.Dir(path))
 }
 
-// degradedDirs rate-limits the SyncDir degrade warning to once per
+// degradedDirs rate-limits the SyncDirFS degrade warning to once per
 // directory per process — the condition is a property of the mount, so
 // repeating it per write is noise.
 var degradedDirs sync.Map
-
-// SyncDir fsyncs a directory on the real filesystem. See SyncDirFS.
-func SyncDir(dir string) error {
-	return SyncDirFS(fault.OS, dir)
-}
 
 // SyncDirFS fsyncs a directory so a just-completed rename in it is
 // durable. Filesystems that reject directory fsync (some network and

@@ -1,11 +1,16 @@
 // Package envelopewriter enforces the PR 5 wire contract inside
 // palaemon/internal/core: every HTTP response — success or failure —
-// goes through the blessed writers (writeJSON, writeErr, writeWireErr),
-// so errors always answer the structured envelope and the obs layer
-// records the wire code. Direct http.Error / http.NotFound calls and
-// naked w.WriteHeader writes bypass all of that: the client sees
-// net/http plain text instead of {code,message,retryable,...}, the
-// canonical log line loses its code, and v1/v2 drift apart.
+// goes through the blessed writers (writeJSON, writeWireErr), so errors
+// always answer the structured envelope and the obs layer records the
+// wire code. Direct http.Error / http.NotFound calls and naked
+// w.WriteHeader writes bypass all of that: the client sees net/http plain
+// text instead of {code,message,retryable,...} and the canonical log line
+// loses its code.
+//
+// It also keeps the route table the only way in: ServeMux.Handle and
+// HandleFunc may be called only from MountFunc, the one function that
+// wraps every row in admission control and the method dispatcher. A
+// handler registered anywhere else would skip both.
 //
 // Exemptions, in order of specificity:
 //
@@ -26,7 +31,7 @@ import (
 
 var Analyzer = &lint.Analyzer{
 	Name: "envelopewriter",
-	Doc:  "flags http.Error/http.NotFound and naked ResponseWriter.WriteHeader calls in internal/core that bypass the wire error envelope writers",
+	Doc:  "flags http.Error/http.NotFound and naked ResponseWriter.WriteHeader calls in internal/core that bypass the wire error envelope writers, and ServeMux registrations outside the route table's mount function",
 	Run:  run,
 }
 
@@ -38,9 +43,12 @@ var Scope = "palaemon/internal/core"
 // status line directly.
 var BlessedWriters = map[string]bool{
 	"writeJSON":    true,
-	"writeErr":     true,
 	"writeWireErr": true,
 }
+
+// MountFunc is the function that mounts the route table, the only one
+// allowed to register handlers on a ServeMux.
+const MountFunc = "mount"
 
 func run(pass *lint.Pass) error {
 	if !pass.HasPathPrefix(Scope) {
@@ -48,9 +56,6 @@ func run(pass *lint.Pass) error {
 	}
 	pass.FuncDecls(func(fd *ast.FuncDecl) {
 		if fd.Body == nil {
-			return
-		}
-		if BlessedWriters[fd.Name.Name] {
 			return
 		}
 		isWriterMethod := fd.Recv != nil && fd.Name.Name == "WriteHeader"
@@ -61,12 +66,19 @@ func run(pass *lint.Pass) error {
 			}
 			fn := lint.Callee(pass.Info, call)
 			switch {
+			case lint.IsMethodOn(fn, "net/http", "ServeMux") && (fn.Name() == "Handle" || fn.Name() == "HandleFunc"):
+				if fd.Name.Name != MountFunc {
+					pass.Reportf(call.Pos(),
+						"ServeMux.%s outside %s bypasses the route table (admission control, method dispatch); add a row to the table instead", fn.Name(), MountFunc)
+				}
+			case BlessedWriters[fd.Name.Name]:
+				// Touching the status line is the blessed writers' job.
 			case lint.IsPkgFunc(fn, "net/http", "Error"):
 				pass.Reportf(call.Pos(),
-					"http.Error bypasses the wire error envelope; classify the error and use writeErr/writeWireErr")
+					"http.Error bypasses the wire error envelope; classify the error and use writeWireErr")
 			case lint.IsPkgFunc(fn, "net/http", "NotFound"):
 				pass.Reportf(call.Pos(),
-					"http.NotFound answers net/http plain text; use the wire not_found envelope via writeErr/writeWireErr")
+					"http.NotFound answers net/http plain text; use the wire not_found envelope via writeWireErr")
 			case isWriteHeaderCall(pass, call):
 				if isWriterMethod {
 					return true
@@ -75,7 +87,7 @@ func run(pass *lint.Pass) error {
 					return true
 				}
 				pass.Reportf(call.Pos(),
-					"naked WriteHeader bypasses the envelope writers; use writeJSON for success payloads and writeErr/writeWireErr for errors")
+					"naked WriteHeader bypasses the envelope writers; use writeJSON for success payloads and writeWireErr for errors")
 			}
 			return true
 		})

@@ -2,14 +2,15 @@
 // in-scope import path palaemon/internal/core. Exercises the three
 // violation shapes (http.Error, http.NotFound, naked WriteHeader) and
 // every exemption: blessed writer, ResponseWriter wrapper, bodyless
-// constant status, and the suppression directive.
+// constant status, and the suppression directive; plus the route-table
+// rule: ServeMux registrations only inside mount.
 package core
 
 import "net/http"
 
-// writeErr is a blessed writer: touching the status line directly is
+// writeWireErr is a blessed writer: touching the status line directly is
 // its job.
-func writeErr(w http.ResponseWriter, status int, code, msg string) {
+func writeWireErr(w http.ResponseWriter, status int, code, msg string) {
 	w.WriteHeader(status)
 	_, _ = w.Write([]byte(code + ": " + msg))
 }
@@ -35,7 +36,7 @@ func handleNotModified(w http.ResponseWriter, r *http.Request) {
 }
 
 func handleGood(w http.ResponseWriter, r *http.Request) {
-	writeErr(w, http.StatusForbidden, "forbidden", "client is not the creator")
+	writeWireErr(w, http.StatusForbidden, "forbidden", "client is not the creator")
 }
 
 // statusWriter is a ResponseWriter wrapper; forwarding WriteHeader is
@@ -53,4 +54,15 @@ func (sw *statusWriter) WriteHeader(status int) {
 func handleLegacy(w http.ResponseWriter, r *http.Request) {
 	//palaemon:allow envelopewriter -- fixture: pre-envelope legacy endpoint kept byte-identical for old probes
 	http.Error(w, "legacy", http.StatusGone)
+}
+
+// mount is the one function allowed to register handlers.
+func mount(mux *http.ServeMux) {
+	mux.HandleFunc("/v2/good", handleGood)
+	mux.Handle("/", http.HandlerFunc(handleGood))
+}
+
+func sideDoor(mux *http.ServeMux) {
+	mux.HandleFunc("/debug", handleGood)             // want `ServeMux.HandleFunc outside mount bypasses the route table`
+	mux.Handle("/raw", http.HandlerFunc(handleGood)) // want `ServeMux.Handle outside mount bypasses the route table`
 }

@@ -11,12 +11,12 @@ func TestRegistryExposition(t *testing.T) {
 	r.Describe("palaemon_requests_total", "counter", "Requests served.")
 	r.Counter("palaemon_requests_total", L("route", "/v2/batch"), L("tenant", "aa11")).Add(3)
 	r.Counter("palaemon_requests_total", L("tenant", "bb22"), L("route", "/v2/batch")).Inc()
-	r.Gauge("palaemon_inflight").Set(2)
+	r.Gauge("palaemon_inflight_requests").Set(2)
 	r.DescribeHistogram("palaemon_request_seconds", "Latency.", []time.Duration{time.Millisecond, time.Second})
 	r.Histogram("palaemon_request_seconds", L("route", "/v2/batch")).Observe(500 * time.Microsecond)
 	r.Histogram("palaemon_request_seconds", L("route", "/v2/batch")).Observe(2 * time.Second)
 	r.RegisterCollector(CollectorFunc(func() []Sample {
-		return []Sample{{Name: "palaemon_cache_hits_total", Type: "counter", Help: "Cache hits.", Value: 42}}
+		return []Sample{{Name: "palaemon_policy_cache_hits_total", Type: "counter", Help: "Cache hits.", Value: 42}}
 	}))
 
 	var b strings.Builder
@@ -31,15 +31,15 @@ func TestRegistryExposition(t *testing.T) {
 		// Labels render sorted by name regardless of call-site order.
 		`palaemon_requests_total{route="/v2/batch",tenant="aa11"} 3`,
 		`palaemon_requests_total{route="/v2/batch",tenant="bb22"} 1`,
-		"# TYPE palaemon_inflight gauge",
-		"palaemon_inflight 2",
+		"# TYPE palaemon_inflight_requests gauge",
+		"palaemon_inflight_requests 2",
 		"# TYPE palaemon_request_seconds histogram",
 		`palaemon_request_seconds_bucket{route="/v2/batch",le="0.001"} 1`,
 		`palaemon_request_seconds_bucket{route="/v2/batch",le="1"} 1`,
 		`palaemon_request_seconds_bucket{route="/v2/batch",le="+Inf"} 2`,
 		`palaemon_request_seconds_count{route="/v2/batch"} 2`,
-		"# TYPE palaemon_cache_hits_total counter",
-		"palaemon_cache_hits_total 42",
+		"# TYPE palaemon_policy_cache_hits_total counter",
+		"palaemon_policy_cache_hits_total 42",
 	} {
 		if !strings.Contains(out, want+"\n") {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
@@ -47,7 +47,7 @@ func TestRegistryExposition(t *testing.T) {
 	}
 
 	// Families come out sorted by name, so scrapes are diffable.
-	if strings.Index(out, "palaemon_cache_hits_total") > strings.Index(out, "palaemon_requests_total") {
+	if strings.Index(out, "palaemon_policy_cache_hits_total") > strings.Index(out, "palaemon_requests_total") {
 		t.Fatalf("families not sorted:\n%s", out)
 	}
 }

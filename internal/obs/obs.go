@@ -13,7 +13,6 @@
 package obs
 
 import (
-	"io"
 	"log/slog"
 )
 
@@ -53,10 +52,4 @@ func (o *Obs) Or() *Obs {
 		return Nop()
 	}
 	return o
-}
-
-// NewTextLogger is a convenience for daemons: a text-format slog logger
-// at the given level writing to w.
-func NewTextLogger(w io.Writer, level slog.Level) *slog.Logger {
-	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: level}))
 }

@@ -12,7 +12,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"palaemon/internal/fspf"
@@ -467,14 +466,4 @@ func (p *Policy) Clone() *Policy {
 	cp.Exports.FSPFTags = append([]fspf.Tag(nil), p.Exports.FSPFTags...)
 	cp.Exports.Secrets = append([]string(nil), p.Exports.Secrets...)
 	return &cp
-}
-
-// SortedSecretNames returns secret names in stable order (for reports).
-func (p *Policy) SortedSecretNames() []string {
-	names := make([]string, 0, len(p.Secrets))
-	for _, s := range p.Secrets {
-		names = append(names, s.Name)
-	}
-	sort.Strings(names)
-	return names
 }

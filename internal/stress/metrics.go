@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"palaemon/internal/core"
+	"palaemon/internal/workloads/loadgen"
 )
 
 // OpStats aggregates latency samples for one operation kind.
@@ -181,9 +182,9 @@ func (r *recorder) report(stakeholders int, wall time.Duration) Report {
 		for _, d := range lat {
 			st.Total += d
 		}
-		st.P50 = percentile(lat, 0.50)
-		st.P95 = percentile(lat, 0.95)
-		st.P99 = percentile(lat, 0.99)
+		st.P50 = loadgen.Percentile(lat, 0.50)
+		st.P95 = loadgen.Percentile(lat, 0.95)
+		st.P99 = loadgen.Percentile(lat, 0.99)
 		st.Max = lat[len(lat)-1]
 		rep.Ops += st.Count
 		rep.Errors += st.Errors
@@ -196,19 +197,4 @@ func (r *recorder) report(stakeholders int, wall time.Duration) Report {
 		rep.PerOp[k] = OpStats{Errors: n}
 	}
 	return rep
-}
-
-// percentile picks from a sorted slice (nearest-rank).
-func percentile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q*float64(len(sorted))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }

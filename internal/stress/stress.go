@@ -48,7 +48,7 @@ type Options struct {
 	DisablePolicyCache bool
 	// Evaluator reaches policy boards; nil runs board-less policies.
 	Evaluator *board.Evaluator
-	// Limits enables admission control on the server's /v2 surface
+	// Limits enables admission control in front of every server route
 	// (per-tenant token buckets + concurrency gate) — the overload
 	// scenarios set this; nil serves without limits.
 	Limits *core.AdmissionLimits

@@ -2,12 +2,11 @@ package wire
 
 import "fmt"
 
-// Error is the structured error envelope of the v2 wire protocol. Every
-// error a v2 endpoint produces crosses the wire in this shape, so clients
+// Error is the structured error envelope of the wire protocol. Every
+// error the server produces crosses the wire in this shape, so clients
 // can branch on the machine-readable Code (which `core` maps back onto its
 // sentinel errors), retry on Retryable, and still see the HTTP status the
-// server chose — v1 dropped the status on unmapped errors, which is the
-// defect this envelope exists to fix.
+// server chose.
 type Error struct {
 	// Code is the machine-readable error class (Code* constants).
 	Code string `json:"code"`
@@ -54,7 +53,7 @@ const (
 	CodeMethodNotAllowed = "method_not_allowed"
 	// CodeUnsupportedMedia reports a request body that is not JSON.
 	CodeUnsupportedMedia = "unsupported_media_type"
-	// CodeNotFound reports an unknown v2 path.
+	// CodeNotFound reports a path outside the route table.
 	CodeNotFound = "not_found"
 	// CodePolicyNotFound reports a missing policy (or service).
 	CodePolicyNotFound = "policy_not_found"

@@ -4,13 +4,10 @@
 // the HTTP client share these types, so the two sides of the wire cannot
 // drift apart silently — the golden-file tests pin the encoded forms.
 //
-// Protocol history:
-//
-//   - v1 (unversioned paths, /policies …): ad-hoc JSON shapes, errors as
-//     {"error": "text"} plus an HTTP status. Kept alive as thin adapters.
-//   - v2 (/v2/…): these DTOs, the Error envelope, paginated listing,
-//     batched operations, revision-based conditional reads (ETag), and the
-//     policy watch long-poll.
+// There is one protocol, rooted at /v2: these DTOs, the Error envelope,
+// paginated listing, batched operations, revision-based conditional reads
+// (ETag), and the policy watch long-poll. Every path outside the server's
+// route table answers the not_found envelope.
 //
 // The package sits below core (core imports wire, never the reverse), so
 // it may only depend on leaf packages: policy, attest, fspf, ias,
@@ -32,7 +29,7 @@ import (
 // Version is the wire protocol generation these DTOs describe.
 const Version = 2
 
-// PathPrefix roots every v2 endpoint.
+// PathPrefix roots every endpoint.
 const PathPrefix = "/v2"
 
 // MaxBatchOps bounds one BatchRequest; larger batches are refused with

@@ -46,18 +46,32 @@ func summarize(latencies []time.Duration, failures int, elapsed time.Duration) R
 		sum += l
 	}
 	r.Mean = sum / time.Duration(len(latencies))
-	r.P50 = latencies[len(latencies)/2]
-	r.P95 = latencies[min(len(latencies)-1, len(latencies)*95/100)]
-	r.P99 = latencies[min(len(latencies)-1, len(latencies)*99/100)]
+	r.P50 = Percentile(latencies, 0.50)
+	r.P95 = Percentile(latencies, 0.95)
+	r.P99 = Percentile(latencies, 0.99)
 	r.Max = latencies[len(latencies)-1]
 	return r
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// Percentile returns the q-quantile of an ascending slice by the
+// nearest-rank rule: the smallest sample with at least q of the samples at
+// or below it (sorted[⌈q·n⌉-1]), so it never invents a latency no request
+// had. Zero for no samples. It is the one exact-percentile summarizer; the
+// bucketed obs.Histogram is the server-side approximation.
+func Percentile(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
 	}
-	return b
+	// The epsilon keeps float error in q·n (0.07·100 = 7.000000000000001)
+	// from rounding an exact rank up to the next one.
+	rank := int(q*float64(len(sorted)) + 1 - 1e-9)
+	if rank < 1 {
+		rank = 1
+	}
+	if rank > len(sorted) {
+		rank = len(sorted)
+	}
+	return sorted[rank-1]
 }
 
 // RunClosed drives fn with `workers` concurrent workers for `duration`

@@ -89,3 +89,30 @@ func TestDefaults(t *testing.T) {
 		t.Fatal("zero rate not defaulted")
 	}
 }
+
+// TestPercentileNearestRank pins the one convention both the load
+// generators and the stress recorder report: sorted[⌈q·n⌉-1].
+func TestPercentileNearestRank(t *testing.T) {
+	ramp := func(n int) []time.Duration { // 1, 2, …, n
+		out := make([]time.Duration, n)
+		for i := range out {
+			out[i] = time.Duration(i + 1)
+		}
+		return out
+	}
+	cases := []struct {
+		n    int
+		q    float64
+		want time.Duration
+	}{
+		{0, 0.5, 0},
+		{1, 0.5, 1}, {1, 0.95, 1}, {1, 0.99, 1},
+		{2, 0.5, 1}, {2, 0.95, 2}, {2, 0.99, 2},
+		{100, 0.5, 50}, {100, 0.95, 95}, {100, 0.99, 99}, {100, 0.07, 7}, {100, 1, 100},
+	}
+	for _, tc := range cases {
+		if got := Percentile(ramp(tc.n), tc.q); got != tc.want {
+			t.Errorf("Percentile(1..%d, %v) = %d, want %d", tc.n, tc.q, got, tc.want)
+		}
+	}
+}

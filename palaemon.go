@@ -195,7 +195,7 @@ type DeploymentOptions struct {
 	// GroupCommit batches concurrent database writers into one fsync —
 	// the high-throughput mode for many concurrent stakeholders.
 	GroupCommit bool
-	// Limits enables admission control on the v2 surface: per-tenant
+	// Limits enables admission control in front of every route: per-tenant
 	// token-bucket rate limits plus a bounded instance-wide concurrency
 	// gate, keyed by the client-certificate identity. Nil serves without
 	// limits.
