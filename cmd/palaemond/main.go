@@ -24,6 +24,7 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"palaemon"
@@ -42,7 +43,6 @@ func run() error {
 		dataDir     = flag.String("data", "./palaemon-data", "encrypted database directory")
 		platformDir = flag.String("platform", "", "durable platform NVRAM directory (default: <data>/platform)")
 		recover     = flag.Bool("recover", false, "acknowledge fail-over after a crash (v < c)")
-		groupCommit = flag.Bool("group-commit", false, "batch concurrent database writers into one fsync")
 
 		tenantRate    = flag.Float64("tenant-rate", 0, "per-tenant sustained request rate (req/s, 0 = unlimited)")
 		tenantBurst   = flag.Int("tenant-burst", 0, "per-tenant burst capacity (default: ceil of -tenant-rate)")
@@ -64,10 +64,22 @@ func run() error {
 	logger := slog.New(palaemon.NewTextLogHandler(os.Stdout, level))
 
 	if *shards > 0 {
-		if *opsAddr != "" || *tenantRate > 0 || *maxConcurrent > 0 || *recover {
-			return fmt.Errorf("-ops-addr, -tenant-rate, -max-concurrent and -recover are not supported in fleet mode (-shards)")
+		// Only the flags runFleet consumes are accepted; anything else the
+		// operator set is refused by name — a fleet that silently dropped
+		// -audit off or a -platform directory would run with neither and
+		// say nothing.
+		var refused []string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "data", "shards", "replication", "log-level":
+			default:
+				refused = append(refused, "-"+f.Name)
+			}
+		})
+		if len(refused) > 0 {
+			return fmt.Errorf("%s not supported in fleet mode (-shards)", strings.Join(refused, ", "))
 		}
-		return runFleet(logger, *dataDir, *shards, *replication, *groupCommit)
+		return runFleet(logger, *dataDir, *shards, *replication)
 	}
 
 	// Admission control is enabled by any limit flag; without them the
@@ -85,7 +97,6 @@ func run() error {
 		DataDir:       *dataDir,
 		PlatformDir:   *platformDir,
 		Recover:       *recover,
-		GroupCommit:   *groupCommit,
 		Limits:        limits,
 		Observability: true,
 		LogHandler:    logger.Handler(),
@@ -135,7 +146,7 @@ func run() error {
 // with WAL followers on the other instances, all publishing the same
 // signed discovery document. Clients seed from any shard's /v2/fleet and
 // verify the doc against the key printed in the banner.
-func runFleet(logger *slog.Logger, dataDir string, shards, replication int, groupCommit bool) error {
+func runFleet(logger *slog.Logger, dataDir string, shards, replication int) error {
 	if err := os.MkdirAll(dataDir, 0o700); err != nil {
 		return err
 	}
@@ -143,7 +154,6 @@ func runFleet(logger *slog.Logger, dataDir string, shards, replication int, grou
 		Shards:      shards,
 		Replication: replication,
 		DataDir:     dataDir,
-		GroupCommit: groupCommit,
 		Observe:     true,
 	})
 	if err != nil {

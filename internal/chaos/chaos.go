@@ -1,6 +1,6 @@
 // Package chaos is the crash-consistency harness: it enumerates every
 // mutating filesystem operation ("fault point") in the durable paths —
-// kvdb Put (per-record and group-commit), kvdb Compact,
+// kvdb Put, a follower's kvdb AppendReplica, kvdb Compact,
 // fsatomic.WriteFile, and the SGX NVRAM counter write-through — and for
 // each point replays the workload with every applicable fault mode
 // (crash before/after, torn write, EIO, ENOSPC) injected exactly there.
@@ -9,6 +9,8 @@
 //
 //   - the store reopens — crash residue is repaired, never ErrCorrupt;
 //   - no acknowledged write is lost;
+//   - a follower crashed mid-apply holds a chain-verified prefix of its
+//     leader's history and converges once the feed resumes;
 //   - the NVRAM counter never regresses, and an acked increment sticks;
 //   - an atomically-replaced file holds the old or the new contents in
 //     full, never a mixture, and strands no *.tmp orphan past reopen.
@@ -25,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 
 	"palaemon/internal/cryptoutil"
@@ -144,8 +147,8 @@ func caseDir(parent, name string, step int, mode string) (string, error) {
 
 func scenarios() []scenario {
 	return []scenario{
-		{name: "kvdb-put", workload: kvdbPutWorkload(false), verify: kvdbVerify},
-		{name: "kvdb-put-groupcommit", workload: kvdbPutWorkload(true), verify: kvdbVerify},
+		{name: "kvdb-put", workload: kvdbPutWorkload, verify: kvdbVerify},
+		{name: "kvdb-replica-append", workload: kvdbReplicaWorkload, verify: kvdbReplicaVerify},
 		{name: "kvdb-compact", workload: kvdbCompactWorkload, verify: kvdbVerify},
 		{name: "fsatomic-replace", workload: fsatomicWorkload, verify: fsatomicVerify},
 		{name: "nvram-counter", workload: nvramWorkload, verify: nvramVerify},
@@ -158,25 +161,22 @@ func scenarios() []scenario {
 type kvdbAcked map[string]string
 
 // kvdbPutWorkload appends a short sequence of Puts. Single-writer, so
-// the op trace is deterministic in both commit modes (a group-commit
-// batch with one blocked writer is written and fsynced before the next
-// Put can enqueue).
-func kvdbPutWorkload(groupCommit bool) func(fsys fault.FS, dir string) any {
-	return func(fsys fault.FS, dir string) any {
-		acked := kvdbAcked{}
-		db, err := kvdb.Open(dir, dbKey, kvdb.Options{FS: fsys, GroupCommit: groupCommit})
-		if err != nil {
-			return acked
-		}
-		for i := 0; i < 4; i++ {
-			k, v := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)
-			if db.Put("b", k, []byte(v)) == nil {
-				acked[k] = v
-			}
-		}
-		db.Close()
+// the op trace is deterministic: each Put finds the log idle and writes
+// and fsyncs its own one-record batch before the next can enqueue.
+func kvdbPutWorkload(fsys fault.FS, dir string) any {
+	acked := kvdbAcked{}
+	db, err := kvdb.Open(dir, dbKey, kvdb.Options{FS: fsys})
+	if err != nil {
 		return acked
 	}
+	for i := 0; i < 4; i++ {
+		k, v := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)
+		if db.Put("b", k, []byte(v)) == nil {
+			acked[k] = v
+		}
+	}
+	db.Close()
+	return acked
 }
 
 // kvdbCompactWorkload crosses a Compact mid-stream: records before it
@@ -221,6 +221,96 @@ func kvdbVerify(dir string, state any) error {
 		if string(got) != want {
 			return fmt.Errorf("acked write %s: got %q, want %q", k, got, want)
 		}
+	}
+	return nil
+}
+
+// --- kvdb replica scenario -----------------------------------------------
+
+// replicaFeed is what the follower workload saw: the leader's history
+// and end state, and how many leading entries sit in batches whose
+// AppendReplica returned nil.
+type replicaFeed struct {
+	entries []kvdb.Entry
+	leader  *kvdb.State
+	acked   int
+}
+
+// replicaBatches cuts the leader's replicaEntries-long feed into two
+// multi-entry batches. A single writer only ever leads one-record
+// batches, so this is the deterministic way to put a multi-record batch
+// (one Write, one Sync) under every fault mode.
+var replicaBatches = []int{2, 3}
+
+const replicaEntries = 5
+
+// kvdbReplicaWorkload builds a short leader history on the real
+// filesystem (the leader is not under test; entries are plaintext plus
+// chain hashes, so every replay produces the same feed), then has a
+// follower on the injected filesystem apply it batch by batch — the
+// follower-crash-mid-apply path.
+func kvdbReplicaWorkload(fsys fault.FS, dir string) any {
+	var st replicaFeed
+	leader, err := kvdb.Open(filepath.Join(dir, "leader"), dbKey, kvdb.Options{RetainEntries: -1, NoFsync: true})
+	if err != nil {
+		return st
+	}
+	defer leader.Close()
+	for i := 0; i < 3; i++ {
+		leader.Put("b", fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i)))
+	}
+	leader.Delete("b", "k0")
+	leader.SetVersion(9)
+	st.entries, _ = leader.Entries(0, 0)
+	st.leader, _ = leader.ExportState()
+	if len(st.entries) != replicaEntries {
+		return st // kvdbReplicaVerify reports it
+	}
+
+	replica, err := kvdb.Open(filepath.Join(dir, "replica"), dbKey, kvdb.Options{FS: fsys})
+	if err != nil {
+		return st
+	}
+	defer replica.Close()
+	for _, n := range replicaBatches {
+		if replica.AppendReplica(st.entries[st.acked:st.acked+n]) != nil {
+			break
+		}
+		st.acked += n
+	}
+	return st
+}
+
+// kvdbReplicaVerify reboots the follower and requires: it reopens; it
+// holds at least every acked batch in full and nothing the leader never
+// wrote; the leader's remaining entries extend it — AppendReplica accepts
+// entries[k:] only if entry k+1 chains onto the replica's head at seq k,
+// so what survived is a chain-verified prefix (a torn batch may keep
+// whole leading records of an unacked batch; never anything past a
+// hole); and the re-fed replica equals the leader's exported state.
+func kvdbReplicaVerify(dir string, state any) error {
+	st := state.(replicaFeed)
+	if len(st.entries) != replicaEntries || st.leader == nil {
+		return errors.New("workload could not build the leader history")
+	}
+	replica, err := kvdb.Open(filepath.Join(dir, "replica"), dbKey, kvdb.Options{})
+	if err != nil {
+		return fmt.Errorf("reopen replica after fault: %w", err)
+	}
+	defer replica.Close()
+	k := int(replica.Seq())
+	if k < st.acked || k > len(st.entries) {
+		return fmt.Errorf("replica holds %d records after reboot; %d were acked, the leader wrote %d", k, st.acked, len(st.entries))
+	}
+	if err := replica.AppendReplica(st.entries[k:]); err != nil {
+		return fmt.Errorf("re-feed from seq %d: %w", k, err)
+	}
+	got, err := replica.ExportState()
+	if err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(got, st.leader) {
+		return fmt.Errorf("re-fed replica (seq %d) did not converge on the leader's exported state (seq %d)", got.Seq, st.leader.Seq)
 	}
 	return nil
 }

@@ -88,12 +88,6 @@ type Options struct {
 	// version. The paper treats a crash as an attack; recovery is an
 	// explicit operator decision, never automatic.
 	Recover bool
-	// DBNoFsync disables per-update fsync (benchmarks of the non-durable
-	// path only).
-	DBNoFsync bool
-	// DBGroupCommit batches concurrent WAL writers into one fsync
-	// (kvdb group commit) — the high-throughput multi-stakeholder mode.
-	DBGroupCommit bool
 	// DisablePolicyCache turns the decode-once policy snapshot cache off,
 	// re-decoding policies from the database per request — the read-path
 	// ablation baseline (DESIGN.md §8). Leave false in deployments.
@@ -275,8 +269,6 @@ func Open(opts Options) (*Instance, error) {
 	}
 
 	db, err := kvdb.Open(opts.DataDir, id.DBKey, kvdb.Options{
-		NoFsync:       opts.DBNoFsync,
-		GroupCommit:   opts.DBGroupCommit,
 		RetainEntries: opts.DBRetainEntries,
 	})
 	if err != nil {
@@ -429,8 +421,8 @@ func (i *Instance) Shutdown(ctx context.Context) error {
 	defer i.stateMu.Unlock()
 	// From here on resources are released even when a step fails: a failed
 	// graceful shutdown degrades to crash semantics (restart needs
-	// explicit recovery), but the WAL fd and the group-commit committer
-	// goroutine must never leak behind a permanently-draining instance.
+	// explicit recovery), but the WAL fd must never leak behind a
+	// permanently-draining instance.
 	c, err := i.counter.Value()
 	if err != nil {
 		i.releaseLocked()

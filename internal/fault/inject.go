@@ -108,8 +108,8 @@ type Plan struct {
 }
 
 // Injector is an FS that counts mutating operations, records their
-// trace, and fires the scripted fault. Safe for concurrent use (kvdb's
-// group-commit committer writes from its own goroutine).
+// trace, and fires the scripted fault. Safe for concurrent use (kvdb
+// writers lead WAL batches from their own goroutines).
 type Injector struct {
 	inner FS
 	plan  Plan

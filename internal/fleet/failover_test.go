@@ -21,7 +21,6 @@ func TestKillShardFailover(t *testing.T) {
 	f := bootFleet(t, Options{
 		Shards:      3,
 		Replication: 2,
-		GroupCommit: true,
 		Observe:     true,
 		// Generous barrier: the drill asserts Degraded == 0 before the
 		// kill, and a loaded test machine must not fake a slow follower.

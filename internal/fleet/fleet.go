@@ -35,8 +35,6 @@ type Options struct {
 	VNodes int
 	// DataDir holds every shard's stores (required).
 	DataDir string
-	// GroupCommit selects the batched WAL durability mode per shard.
-	GroupCommit bool
 	// BarrierTimeout bounds the semi-sync replication barrier (default
 	// DefaultBarrierTimeout); past it a write degrades to async, counted.
 	BarrierTimeout time.Duration
@@ -220,7 +218,6 @@ func (f *Fleet) openPrimary(name, dir string) (*shardState, error) {
 	st.inst, err = core.Open(core.Options{
 		Platform:        p,
 		DataDir:         dir,
-		DBGroupCommit:   f.opts.GroupCommit,
 		DBRetainEntries: -1,
 		ReplBarrier:     st.hub.barrier,
 		Obs:             st.bundle,
@@ -248,7 +245,6 @@ func (f *Fleet) reopenReplica(name, dir string, key cryptoutil.Key) (*shardState
 	st.inst, err = core.Open(core.Options{
 		Platform:        p,
 		DataDir:         dir,
-		DBGroupCommit:   f.opts.GroupCommit,
 		DBRetainEntries: -1,
 		ReplBarrier:     st.hub.barrier,
 		Obs:             st.bundle,

@@ -220,7 +220,7 @@ func TestFleetFollowerTracksLeader(t *testing.T) {
 	// a healthy follower acks in milliseconds, but under a loaded -race
 	// test machine the 2s default can expire spuriously and turn a
 	// scheduling hiccup into a failure.
-	f := bootFleet(t, Options{Shards: 1, Replication: 2, GroupCommit: true, Observe: true,
+	f := bootFleet(t, Options{Shards: 1, Replication: 2, Observe: true,
 		BarrierTimeout: 30 * time.Second})
 	ctx := context.Background()
 	shard := f.Shards()[0]

@@ -13,13 +13,14 @@ import (
 	"palaemon/internal/cryptoutil"
 )
 
-// TestGroupCommitRoundTrip writes from many goroutines in group-commit mode
-// and verifies every record survives a reopen in the default per-record
-// mode: the on-disk format and hash chain are identical across modes.
+// TestGroupCommitRoundTrip writes from many goroutines, so records reach
+// the WAL in multi-record batches, and verifies every record survives a
+// reopen: a batch replays exactly like the same records written one by
+// one.
 func TestGroupCommitRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	key := cryptoutil.MustNewKey()
-	db, err := Open(dir, key, Options{GroupCommit: true})
+	db, err := Open(dir, key, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestGroupCommitRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGroupCommitTamperingDetected proves group commit preserves the
+// TestGroupCommitTamperingDetected proves batched commits preserve the
 // corruption invariants: flipping a mid-stream byte in the WAL written
 // by batched commits must still fail replay with ErrCorrupt, while
 // cutting the tail is a torn final record — a crash artifact, not
@@ -73,7 +74,7 @@ func TestGroupCommitTamperingDetected(t *testing.T) {
 		t.Run(mode, func(t *testing.T) {
 			dir := t.TempDir()
 			key := cryptoutil.MustNewKey()
-			db, err := Open(dir, key, Options{GroupCommit: true})
+			db, err := Open(dir, key, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +157,7 @@ func TestGroupCommitTamperingDetected(t *testing.T) {
 func TestGroupCommitCompact(t *testing.T) {
 	dir := t.TempDir()
 	key := cryptoutil.MustNewKey()
-	db, err := Open(dir, key, Options{GroupCommit: true})
+	db, err := Open(dir, key, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,98 +203,62 @@ func TestGroupCommitCompact(t *testing.T) {
 // operation racing against Close must either succeed or fail with ErrClosed,
 // never crash or corrupt.
 func TestParallelPutGetCompactClose(t *testing.T) {
-	for _, group := range []bool{false, true} {
-		t.Run(fmt.Sprintf("group=%v", group), func(t *testing.T) {
-			dir := t.TempDir()
-			key := cryptoutil.MustNewKey()
-			db, err := Open(dir, key, Options{GroupCommit: group})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			var closed atomic.Bool
-			check := func(err error) {
-				if err != nil && !errors.Is(err, ErrClosed) {
-					t.Errorf("unexpected error: %v", err)
-				}
-			}
-			for w := 0; w < 4; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; i < 50; i++ {
-						check(db.Put("b", fmt.Sprintf("w%d-%d", w, i), []byte("v")))
-						if _, err := db.Get("b", fmt.Sprintf("w%d-%d", w, i)); err != nil &&
-							!errors.Is(err, ErrClosed) && !errors.Is(err, ErrNotFound) {
-							t.Errorf("Get: %v", err)
-						}
-						if _, err := db.Keys("b"); err != nil && !errors.Is(err, ErrClosed) {
-							t.Errorf("Keys: %v", err)
-						}
-						db.Version()
-						db.WALRecords()
-						if i%17 == 16 {
-							check(db.Delete("b", fmt.Sprintf("w%d-%d", w, i-1)))
-						}
-					}
-				}(w)
-			}
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 5; i++ {
-					if err := db.Compact(); err != nil && !errors.Is(err, ErrClosed) {
-						t.Errorf("Compact: %v", err)
-					}
-				}
-			}()
-			go func() {
-				defer wg.Done()
-				// Close while traffic is still flowing.
-				if err := db.Close(); err != nil {
-					t.Errorf("Close: %v", err)
-				}
-				closed.Store(true)
-			}()
-			wg.Wait()
-			if !closed.Load() {
-				t.Fatal("close never ran")
-			}
-			if err := db.Close(); err != nil {
-				t.Fatalf("double close: %v", err)
-			}
-		})
-	}
-}
-
-// TestGroupCommitBatchBound exercises the max-batch split path.
-func TestGroupCommitBatchBound(t *testing.T) {
 	dir := t.TempDir()
 	key := cryptoutil.MustNewKey()
-	db, err := Open(dir, key, Options{GroupCommit: true, GroupCommitMaxBatch: 2})
+	db, err := Open(dir, key, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	var closed atomic.Bool
+	check := func(err error) {
+		if err != nil && !errors.Is(err, ErrClosed) {
+			t.Errorf("unexpected error: %v", err)
+		}
+	}
+	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				if err := db.Put("b", fmt.Sprintf("w%d-%d", w, i), nil); err != nil {
-					t.Error(err)
-					return
+			for i := 0; i < 50; i++ {
+				check(db.Put("b", fmt.Sprintf("w%d-%d", w, i), []byte("v")))
+				if _, err := db.Get("b", fmt.Sprintf("w%d-%d", w, i)); err != nil &&
+					!errors.Is(err, ErrClosed) && !errors.Is(err, ErrNotFound) {
+					t.Errorf("Get: %v", err)
+				}
+				if _, err := db.Keys("b"); err != nil && !errors.Is(err, ErrClosed) {
+					t.Errorf("Keys: %v", err)
+				}
+				db.Version()
+				db.WALRecords()
+				if i%17 == 16 {
+					check(db.Delete("b", fmt.Sprintf("w%d-%d", w, i-1)))
 				}
 			}
 		}(w)
 	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 5; i++ {
+			if err := db.Compact(); err != nil && !errors.Is(err, ErrClosed) {
+				t.Errorf("Compact: %v", err)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		// Close while traffic is still flowing.
+		if err := db.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+		closed.Store(true)
+	}()
 	wg.Wait()
+	if !closed.Load() {
+		t.Fatal("close never ran")
+	}
 	if err := db.Close(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("double close: %v", err)
 	}
-	db2, err := Open(dir, key, Options{})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	db2.Close()
 }

@@ -11,9 +11,9 @@ import (
 // in-memory log of committed entries (Entries / TailFrom, the leader
 // side) and the verified-apply path a follower replays them through
 // (ImportReplica / AppendReplica). Entries become visible strictly at
-// the group-commit barrier — a record is retained only after the fsync
-// that made it durable — so a tail can never ship a record a crash on
-// the leader would lose.
+// the commit barrier — a record is retained only after the fsync that
+// made it durable — so a tail can never ship a record a crash on the
+// leader would lose.
 //
 // Replication ships plaintext record fields, not WAL bytes: the leader's
 // WAL is sealed under its own database key, which a follower must not
@@ -120,8 +120,8 @@ func (db *DB) entriesLocked(from uint64, max int) ([]Entry, error) {
 // means all retained). It fails with ErrEntriesTruncated when the
 // retention window no longer covers from+1 — the caller re-bootstraps
 // from ExportState — and never returns records that are not yet durable:
-// in group-commit mode an entry is retained only after its batch's
-// fsync, so a batch is observed atomically (all records or none).
+// an entry is retained only after its batch's fsync, so a batch is
+// observed atomically (all records or none).
 func (db *DB) Entries(from uint64, max int) ([]Entry, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -136,8 +136,8 @@ func (db *DB) Entries(from uint64, max int) ([]Entry, error) {
 
 // TailFrom blocks until at least one committed entry with Seq > from
 // exists (or ctx expires, returning ctx.Err with no entries), then
-// returns up to max of them. It rides the group-commit barrier: the wait
-// is woken only after a batch is durable and applied.
+// returns up to max of them. It rides the commit barrier: the wait is
+// woken only after a batch is durable and applied.
 func (db *DB) TailFrom(ctx context.Context, from uint64, max int) ([]Entry, error) {
 	for {
 		db.mu.Lock()
@@ -182,8 +182,8 @@ type State struct {
 }
 
 // ExportState returns a deep copy of the current applied (durable)
-// state. Pending group-commit records that have not reached their fsync
-// are absent by construction — they are applied only after the barrier.
+// state. Queued records that have not reached their fsync are absent by
+// construction — they are applied only after the barrier.
 func (db *DB) ExportState() (*State, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -201,8 +201,8 @@ func (db *DB) ExportState() (*State, error) {
 		}
 		data[b] = m
 	}
-	// appliedChain, not chain: in group-commit mode the enqueue head may
-	// already cover records whose fsync has not happened, and a bootstrap
+	// appliedChain, not chain: the enqueue head may already cover
+	// records whose fsync has not happened, and a bootstrap
 	// pairing those with the applied data/seq would hand the follower a
 	// chain head the entry feed can never extend.
 	return &State{Data: data, Version: db.version, Chain: db.appliedChain, Seq: db.seq}, nil
@@ -244,26 +244,25 @@ func (db *DB) ImportReplica(st *State) error {
 // entries: every entry's Prev must equal the local chain head, its Chain
 // must equal the local recomputation over the rebuilt record, and its
 // Seq must be the next in sequence. Verification happens for the whole
-// batch BEFORE any byte is written, so a bad feed leaves the replica
-// untouched; the batch is then re-sealed under the replica's own key,
-// written to the WAL in one append, fsynced once (the same durability
-// barrier a leader's group commit pays), and applied.
+// batch BEFORE anything is queued, so a bad feed leaves the replica
+// untouched; the batch is then re-sealed under the replica's own key and
+// queued as one unit on the commit path (commit, kvdb.go), which writes
+// it to the WAL in one append, fsyncs once — the same durability barrier
+// a leader's writers pay — and applies it.
 func (db *DB) AppendReplica(entries []Entry) error {
 	if len(entries) == 0 {
 		return nil
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
+	if err := db.admitLocked(); err != nil {
+		return err
 	}
-	if db.failed != nil {
-		return db.poisonedLocked()
-	}
+	// Verify against the enqueue side: records queued or in flight are
+	// ahead of db.seq but already part of the chain.
 	chain := db.chain
-	seq := db.seq
-	recs := make([]record, 0, len(entries))
-	var buf []byte
+	seq := db.seq + (db.queued - db.flushed)
+	staged := make([]pendingCommit, 0, len(entries))
 	for i, e := range entries {
 		if e.Seq != seq+1 {
 			return fmt.Errorf("%w: entry %d has seq %d, want %d", ErrReplicaDiverged, i, e.Seq, seq+1)
@@ -279,26 +278,16 @@ func (db *DB) AppendReplica(entries []Entry) error {
 		if chainHash(chain, pt) != e.Chain {
 			return fmt.Errorf("%w: entry %d chain hash mismatch at seq %d", ErrReplicaDiverged, i, e.Seq)
 		}
-		sealed, err := sealRecord(db.key, pt)
+		framed, err := sealRecord(db.key, pt)
 		if err != nil {
 			return err
 		}
-		buf = append(buf, sealed...)
-		recs = append(recs, rec)
+		staged = append(staged, pendingCommit{framed: framed, rec: rec, chain: e.Chain})
 		chain = e.Chain
 		seq = e.Seq
 	}
-	if err := db.writeWALLocked(buf); err != nil {
-		if db.failed == nil {
-			db.failed = err
-		}
-		return err
-	}
-	for i, rec := range recs {
-		db.applyLocked(rec)
-		db.chain = entries[i].Chain
-		db.walRecords++
-		db.retainLocked(rec, db.chain)
-	}
-	return nil
+	db.pending = append(db.pending, staged...)
+	db.chain = chain
+	db.queued += uint64(len(staged))
+	return db.awaitLocked(db.queued)
 }

@@ -74,7 +74,7 @@ func TestEntriesDisabledByDefault(t *testing.T) {
 }
 
 func TestTailFromWakesOnCommit(t *testing.T) {
-	db, err := Open(t.TempDir(), testKey(t), Options{RetainEntries: -1, GroupCommit: true})
+	db, err := Open(t.TempDir(), testKey(t), Options{RetainEntries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +111,14 @@ func TestTailFromWakesOnCommit(t *testing.T) {
 }
 
 // gateFS blocks WAL fsyncs once armed: each Sync signals syncing and
-// then waits for one token on release. It turns the group-commit
-// durability barrier into an explicit test checkpoint.
+// then waits for one token on release. It turns the commit durability
+// barrier into an explicit test checkpoint. With writes set it parks
+// WAL Writes the same way instead, before they reach the inner FS.
 type gateFS struct {
 	fault.FS
 	mu      sync.Mutex
 	armed   bool
+	writes  bool
 	syncing chan struct{}
 	release chan struct{}
 }
@@ -150,24 +152,33 @@ type gatedFile struct {
 	g *gateFS
 }
 
-func (f *gatedFile) Sync() error {
+func (f *gatedFile) park(write bool) {
 	f.g.mu.Lock()
-	armed := f.g.armed
+	armed := f.g.armed && f.g.writes == write
 	f.g.mu.Unlock()
 	if armed {
 		f.g.syncing <- struct{}{}
 		<-f.g.release
 	}
+}
+
+func (f *gatedFile) Write(p []byte) (int, error) {
+	f.park(true)
+	return f.File.Write(p)
+}
+
+func (f *gatedFile) Sync() error {
+	f.park(false)
 	return f.File.Sync()
 }
 
 // TestGroupCommitBatchObservedAtomically pins the replication contract of
-// the group-commit barrier: records written to the WAL file but not yet
+// the commit barrier: records written to the WAL file but not yet
 // fsynced are invisible to Entries — a batch appears all at once, after
 // its fsync, never as a partial prefix.
 func TestGroupCommitBatchObservedAtomically(t *testing.T) {
 	gate := newGateFS()
-	db, err := Open(t.TempDir(), testKey(t), Options{GroupCommit: true, RetainEntries: -1, FS: gate})
+	db, err := Open(t.TempDir(), testKey(t), Options{RetainEntries: -1, FS: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +213,8 @@ func TestGroupCommitBatchObservedAtomically(t *testing.T) {
 
 	// Release the first barrier: batch 1 (one record) becomes visible.
 	gate.release <- struct{}{}
-	// The committer drains the queue into batch 2 (three records) and
-	// parks on its fsync; the write has hit the file by the time syncing
+	// One of the queued writers leads batch 2 (three records) and parks
+	// on its fsync; the write has hit the file by the time syncing
 	// signals, yet none of the three records may be observable.
 	<-gate.syncing
 	got, err := db.Entries(0, 0)
@@ -235,7 +246,7 @@ func TestGroupCommitBatchObservedAtomically(t *testing.T) {
 // of tampered/reordered feeds.
 func TestReplicaFollowsLeader(t *testing.T) {
 	leaderKey, followerKey := testKey(t), testKey(t)
-	leader, err := Open(t.TempDir(), leaderKey, Options{GroupCommit: true, RetainEntries: -1})
+	leader, err := Open(t.TempDir(), leaderKey, Options{RetainEntries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,14 +341,14 @@ func TestReplicaFollowsLeader(t *testing.T) {
 }
 
 // TestExportStateConsistentUnderGroupCommit pins the bootstrap contract
-// the fleet follower depends on: an export taken WHILE group-commit
-// batches are in flight must pair the applied Seq with the applied chain
+// the fleet follower depends on: an export taken WHILE commit batches
+// are in flight must pair the applied Seq with the applied chain
 // head, so the first feed entry past the export extends it. The enqueue
 // head advances before the fsync; exporting it alongside the applied seq
 // hands a follower a chain that entry Seq+1's Prev can never match, and
 // the follower (correctly) refuses the feed as diverged.
 func TestExportStateConsistentUnderGroupCommit(t *testing.T) {
-	db, err := Open(t.TempDir(), testKey(t), Options{GroupCommit: true, RetainEntries: -1})
+	db, err := Open(t.TempDir(), testKey(t), Options{RetainEntries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

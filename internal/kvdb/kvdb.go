@@ -12,6 +12,7 @@
 package kvdb
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -19,10 +20,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"palaemon/internal/cryptoutil"
 	"palaemon/internal/fault"
@@ -71,21 +70,6 @@ type Options struct {
 	// NoFsync disables the per-update fsync; only benchmarks measuring the
 	// non-durable path use it.
 	NoFsync bool
-	// GroupCommit batches concurrent writers into one WAL write + one fsync
-	// instead of fsyncing per record. Callers still only observe success
-	// after their record is durable; the per-record mode stays available for
-	// the durability-cost ablation (DESIGN.md §5).
-	GroupCommit bool
-	// GroupCommitMaxBatch bounds how many records one commit batch may
-	// carry; 0 means DefaultGroupCommitMaxBatch.
-	GroupCommitMaxBatch int
-	// GroupCommitDelay is the collection window the committer grants
-	// contending writers before paying the fsync: when the previous batch
-	// carried more than one record, the committer briefly sleeps so the
-	// cohort re-queues and the next fsync is amortised over all of them
-	// (cf. MySQL's binlog_group_commit_sync_delay). A solo writer never
-	// waits. 0 means DefaultGroupCommitDelay.
-	GroupCommitDelay time.Duration
 	// RetainEntries enables the in-memory committed-entry log behind
 	// Entries/TailFrom (replication and backup tooling, entries.go):
 	// positive caps the retained window, -1 selects
@@ -101,15 +85,7 @@ type Options struct {
 	Obs *obs.Obs
 }
 
-// DefaultGroupCommitMaxBatch bounds a commit batch when Options leaves it 0.
-const DefaultGroupCommitMaxBatch = 256
-
-// DefaultGroupCommitDelay is the contention collection window when Options
-// leaves it 0 — a fraction of a typical fsync, so worst-case added latency
-// is small against the sync it amortises.
-const DefaultGroupCommitDelay = 100 * time.Microsecond
-
-// pendingCommit is one sealed record queued for the committer goroutine.
+// pendingCommit is one sealed record queued for the next WAL batch.
 type pendingCommit struct {
 	// framed is the length-prefixed sealed record, ready for the WAL.
 	framed []byte
@@ -117,11 +93,9 @@ type pendingCommit struct {
 	// durable, so readers never observe records a crash would lose.
 	rec record
 	// chain is the hash-chain head after rec (computed at enqueue, where
-	// the chain advances); the committer stamps it onto the retained
+	// the chain advances); the batch leader stamps it onto the retained
 	// entry so the replication feed carries the right head per record.
 	chain [32]byte
-	// done receives the batch outcome (buffered; the committer never blocks).
-	done chan error
 }
 
 // DB is the embedded store. Safe for concurrent use.
@@ -133,17 +107,17 @@ type DB struct {
 	version uint64
 	chain   [32]byte
 	// appliedChain is the hash-chain head of the APPLIED (durable) prefix.
-	// In group-commit mode chain advances at enqueue — before the fsync —
-	// while data/version/seq advance at apply; appliedChain advances with
-	// them, so a state export pairs a consistent {data, seq, chain head}
-	// even while a batch is in flight. Outside group commit the two heads
-	// are always equal.
+	// chain advances at enqueue — before the fsync — while
+	// data/version/seq advance at apply; appliedChain advances with them,
+	// so a state export pairs a consistent {data, seq, chain head} even
+	// while a batch is in flight. With the log idle the two heads are
+	// equal.
 	appliedChain [32]byte
-	wal     fault.File
-	fs      fault.FS
-	obs     *obs.Obs
-	opts    Options
-	closed  bool
+	wal          fault.File
+	fs           fault.FS
+	obs          *obs.Obs
+	opts         Options
+	closed       bool
 	// walRecords counts records since the last snapshot, for compaction.
 	walRecords int
 	// seq counts every record ever applied this process (including WAL
@@ -166,25 +140,26 @@ type DB struct {
 	entries []Entry
 	tailCh  chan struct{}
 
-	// Group-commit state, all guarded by mu. pending holds records whose
-	// writers are blocked awaiting durability; committing marks a batch
+	// Commit state, all guarded by mu. pending holds sealed records whose
+	// writers are blocked awaiting durability, in ticket order; spare is
+	// the other of the two queue slices, used alternately so a steady
+	// writer allocates no queue. queued counts tickets handed out, flushed
+	// those whose batch is durable and applied. committing marks a batch
 	// in flight to the WAL file; compacting stalls new enqueues so Compact
 	// can drain the queue without being starved by fresh writers; failed
 	// poisons the database after a batch write error (the chain then
 	// references records that never reached disk, so both mutation and
-	// reads are refused). commitCond is broadcast on every queue or batch
-	// transition.
-	pending       []pendingCommit
-	committing    bool
-	compacting    bool
-	stopCommit    bool
-	failed        error
-	commitCond    *sync.Cond
-	committerDone chan struct{}
-	// lastBatch is the previous batch's size; >1 signals contention and
-	// arms the GroupCommitDelay collection window.
-	lastBatch int
-	// batches/batchedRecords count committer activity for observability
+	// reads are refused). commitCond is broadcast on every batch or
+	// compaction transition.
+	pending    []pendingCommit
+	spare      []pendingCommit
+	queued     uint64
+	flushed    uint64
+	committing bool
+	compacting bool
+	failed     error
+	commitCond *sync.Cond
+	// batches/batchedRecords count WAL batches for observability
 	// (average batch size = batchedRecords/batches).
 	batches        int
 	batchedRecords int
@@ -195,12 +170,6 @@ func Open(dir string, key cryptoutil.Key, opts Options) (*DB, error) {
 	fsys := fault.Or(opts.FS)
 	if err := fsys.MkdirAll(dir, 0o700); err != nil {
 		return nil, fmt.Errorf("kvdb: create dir: %w", err)
-	}
-	if opts.GroupCommitMaxBatch <= 0 {
-		opts.GroupCommitMaxBatch = DefaultGroupCommitMaxBatch
-	}
-	if opts.GroupCommitDelay <= 0 {
-		opts.GroupCommitDelay = DefaultGroupCommitDelay
 	}
 	db := &DB{
 		dir:    dir,
@@ -232,16 +201,12 @@ func Open(dir string, key cryptoutil.Key, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("kvdb: open WAL: %w", err)
 	}
 	db.wal = wal
-	if opts.GroupCommit {
-		db.committerDone = make(chan struct{})
-		go db.committer()
-	}
 	return db, nil
 }
 
 // load reads snapshot then replays the WAL, verifying the hash chain.
 // Two crash residues are repaired here instead of refusing service
-// (both sit strictly past the last group-commit barrier, so no acked
+// (both sit strictly past the last commit barrier, so no acked
 // write is involved): a torn trailing record from a power loss
 // mid-append, and a whole stale WAL from a power loss between Compact's
 // snapshot publish and its WAL truncation.
@@ -418,11 +383,15 @@ func sealRecord(key cryptoutil.Key, pt []byte) ([]byte, error) {
 	return framed, nil
 }
 
+// chainHash is SHA-256(prev ‖ payload), fed in two writes so the hot
+// path does not copy the payload into a scratch buffer first.
 func chainHash(prev [32]byte, payload []byte) [32]byte {
-	buf := make([]byte, 0, len(prev)+len(payload))
-	buf = append(buf, prev[:]...)
-	buf = append(buf, payload...)
-	return cryptoutil.Digest(buf)
+	h := sha256.New()
+	h.Write(prev[:])
+	h.Write(payload)
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
 }
 
 func (db *DB) applyLocked(rec record) {
@@ -444,183 +413,121 @@ func (db *DB) applyLocked(rec record) {
 	}
 }
 
-// commit seals a record onto the hash chain and makes it durable. In the
-// default mode the record is written and fsynced inline under db.mu. In
-// group-commit mode the record is chained immediately (so successors seal
-// against the right predecessor) and enqueued for the committer goroutine;
-// the caller blocks until the batch holding its record has been written
-// and fsynced, so success still implies durability, and the in-memory
-// apply happens only after the fsync, so readers never see a record a
-// crash could lose.
+// commit seals a record onto the hash chain and makes it durable. The
+// record is chained immediately (so successors seal against the right
+// predecessor) and queued; the caller returns once the batch holding its
+// record has been written and fsynced, so success implies durability, and
+// the in-memory apply happens only after the fsync, so readers never see
+// a record a crash could lose.
 func (db *DB) commit(rec record) error {
 	db.mu.Lock()
-	for db.compacting && !db.closed {
-		// Compact is draining the queue onto the old WAL; stall so the
-		// snapshot cannot be starved by a steady stream of writers.
-		db.commitCond.Wait()
-	}
-	if db.closed {
-		db.mu.Unlock()
-		return ErrClosed
-	}
-	if db.failed != nil {
-		err := db.poisonedLocked()
-		db.mu.Unlock()
+	defer db.mu.Unlock()
+	if err := db.admitLocked(); err != nil {
 		return err
 	}
 	rec.Prev = db.chain
 	pt, err := json.Marshal(rec)
 	if err != nil {
-		db.mu.Unlock()
 		return fmt.Errorf("kvdb: encode record: %w", err)
 	}
 	framed, err := sealRecord(db.key, pt)
 	if err != nil {
-		db.mu.Unlock()
 		return err
 	}
-
-	if !db.opts.GroupCommit {
-		err := db.writeWALLocked(framed)
-		if err == nil {
-			db.applyLocked(rec)
-			db.chain = chainHash(db.chain, pt)
-			db.retainLocked(rec, db.chain)
-			db.walRecords++
-		} else if db.failed == nil {
-			// The record's bytes may be partially in the WAL while the
-			// chain was not advanced; a retried write would append after
-			// the orphan and read as tampered on replay. Poison, like the
-			// group-commit path.
-			db.failed = err
-		}
-		db.mu.Unlock()
-		return err
-	}
-
-	// The chain advances at enqueue so successors seal against the right
-	// predecessor; the in-memory apply is deferred to the committer (after
-	// the fsync), so concurrent readers only ever see durable records.
 	db.chain = chainHash(db.chain, pt)
-	done := make(chan error, 1)
-	db.pending = append(db.pending, pendingCommit{framed: framed, rec: rec, chain: db.chain, done: done})
-	db.commitCond.Broadcast()
-	db.mu.Unlock()
-	return <-done
+	db.pending = append(db.pending, pendingCommit{framed: framed, rec: rec, chain: db.chain})
+	db.queued++
+	return db.awaitLocked(db.queued)
 }
 
-// writeWALLocked appends framed bytes to the WAL and (by default) fsyncs.
-// Callers hold db.mu.
-func (db *DB) writeWALLocked(framed []byte) error {
-	//palaemon:allow durablewrite -- WAL append path: durability comes from the Sync barrier below, not atomic replace
-	if _, err := db.wal.Write(framed); err != nil {
-		return fmt.Errorf("kvdb: write WAL: %w", err)
+// admitLocked is the gate in front of the queue: it waits out a running
+// Compact (which is draining the queue onto the old WAL and must not be
+// starved by a steady stream of writers) and refuses a closed or
+// poisoned store. Callers hold db.mu.
+func (db *DB) admitLocked() error {
+	for db.compacting && !db.closed {
+		db.commitCond.Wait()
 	}
-	if !db.opts.NoFsync {
-		if err := db.wal.Sync(); err != nil {
-			return fmt.Errorf("kvdb: fsync WAL: %w", err)
+	if db.closed {
+		return ErrClosed
+	}
+	if db.failed != nil {
+		return db.poisonedLocked()
+	}
+	return nil
+}
+
+// awaitLocked returns once every record up to ticket is durable and
+// applied, or the store is poisoned. While a batch is in flight the
+// caller waits for it; a caller that finds the log idle leads the next
+// batch itself. Callers hold db.mu; it is released while waiting and
+// across the leader's I/O.
+func (db *DB) awaitLocked(ticket uint64) error {
+	for db.flushed < ticket {
+		switch {
+		case db.failed != nil:
+			// The record sits in or behind a batch that never reached
+			// the WAL; nobody past the hole is acked.
+			return db.poisonedLocked()
+		case db.committing:
+			db.commitCond.Wait()
+		default:
+			db.leadLocked()
 		}
 	}
 	return nil
 }
 
-// committer is the group-commit loop: it drains the pending queue, writes
-// the whole batch in one Write call, fsyncs once, and releases every waiter
-// in the batch. Records hit the file strictly in enqueue order, which is
-// also hash-chain order, so replay semantics are identical to the
-// per-record path. It exits once stopCommit is set and the queue is empty.
-func (db *DB) committer() {
-	defer close(db.committerDone)
-	for {
-		db.mu.Lock()
-		for len(db.pending) == 0 && !db.stopCommit {
-			db.commitCond.Wait()
-		}
-		if len(db.pending) == 0 {
-			db.mu.Unlock()
-			return
-		}
-		if db.lastBatch > 1 && !db.opts.NoFsync && !db.stopCommit && !db.compacting {
-			// Contention: the cohort released by the last fsync is racing
-			// to re-queue. Yield until they land (bounded by the delay
-			// budget) so this batch carries the whole cohort instead of
-			// convoying through tiny ones. Scheduler yields, not
-			// time.Sleep: timer slack would turn 100µs into ~1ms.
-			target := db.lastBatch
-			deadline := time.Now().Add(db.opts.GroupCommitDelay)
-			for len(db.pending) < target && !db.stopCommit && !db.compacting {
-				db.mu.Unlock()
-				runtime.Gosched()
-				db.mu.Lock()
-				if time.Now().After(deadline) {
-					break
-				}
-			}
-		}
-		batch := db.pending
-		if max := db.opts.GroupCommitMaxBatch; len(batch) > max {
-			db.pending = batch[max:]
-			batch = batch[:max]
-		} else {
-			db.pending = nil
-		}
-		if db.failed != nil {
-			// A previous batch never reached the WAL; appending after the
-			// hole would ack records whose chain predecessors are missing.
-			err := db.failed
-			db.commitCond.Broadcast()
-			db.mu.Unlock()
-			for _, p := range batch {
-				p.done <- err
-			}
-			continue
-		}
-		wal := db.wal
-		noFsync := db.opts.NoFsync
-		db.committing = true
-		db.lastBatch = len(batch)
-		db.batches++
-		db.batchedRecords += len(batch)
-		db.mu.Unlock()
+// leadLocked takes the whole queue, writes it to the WAL in one Write,
+// fsyncs once, then applies and retains every record of the batch — the
+// only place the package writes the WAL. Records hit the file in ticket
+// order, which is hash-chain order. db.mu is dropped across the I/O, so
+// readers proceed and writers queue the next batch meanwhile. On error
+// the store is poisoned and the records queued behind the hole are
+// dropped with the batch (their writers fail in awaitLocked). Callers
+// hold db.mu with a non-empty queue, no batch in flight, not poisoned.
+func (db *DB) leadLocked() {
+	batch := db.pending
+	db.pending, db.spare = db.spare, nil
+	wal, noFsync := db.wal, db.opts.NoFsync
+	db.committing = true
+	db.batches++
+	db.batchedRecords += len(batch)
+	db.mu.Unlock()
 
-		// Write + fsync outside db.mu: readers proceed, and writers can
-		// queue the next batch while this one is on its way to disk.
+	buf := batch[0].framed
+	if len(batch) > 1 {
 		size := 0
 		for _, p := range batch {
 			size += len(p.framed)
 		}
-		buf := make([]byte, 0, size)
+		buf = make([]byte, 0, size)
 		for _, p := range batch {
 			buf = append(buf, p.framed...)
 		}
-		//palaemon:allow durablewrite -- group-commit WAL append: the batch is durable at the Sync barrier below
-		_, err := wal.Write(buf)
-		if err == nil && !noFsync {
-			err = wal.Sync()
-		}
-		if err != nil {
-			err = fmt.Errorf("kvdb: write WAL batch: %w", err)
-		}
-
-		db.mu.Lock()
-		db.committing = false
-		if err != nil && db.failed == nil {
-			db.failed = err
-		}
-		if err == nil {
-			for _, p := range batch {
-				db.applyLocked(p.rec)
-				db.retainLocked(p.rec, p.chain)
-				db.walRecords++
-			}
-		}
-		db.commitCond.Broadcast()
-		db.mu.Unlock()
-
-		for _, p := range batch {
-			p.done <- err
-		}
 	}
+	//palaemon:allow durablewrite -- WAL append: the batch is durable at the Sync barrier below, not by atomic replace
+	_, err := wal.Write(buf)
+	if err == nil && !noFsync {
+		err = wal.Sync()
+	}
+
+	db.mu.Lock()
+	db.committing = false
+	if err != nil {
+		db.failed = fmt.Errorf("kvdb: write WAL batch: %w", err)
+		db.pending = nil
+	} else {
+		for _, p := range batch {
+			db.applyLocked(p.rec)
+			db.retainLocked(p.rec, p.chain)
+			db.walRecords++
+		}
+		db.flushed += uint64(len(batch))
+	}
+	clear(batch)
+	db.spare = batch[:0]
+	db.commitCond.Broadcast()
 }
 
 // poisonedLocked wraps db.failed; callers hold db.mu and have checked it.
@@ -628,12 +535,11 @@ func (db *DB) poisonedLocked() error {
 	return fmt.Errorf("kvdb: write failed earlier, database poisoned: %w", db.failed)
 }
 
-// flushLocked waits until every queued record has reached the WAL file.
-// Callers hold db.mu (the Wait releases it so the committer can progress).
+// flushLocked returns once nothing is queued or in flight: every record
+// enqueued so far is in the WAL file, or the store is poisoned and the
+// queue was dropped. Callers hold db.mu.
 func (db *DB) flushLocked() {
-	for len(db.pending) > 0 || db.committing {
-		db.commitCond.Wait()
-	}
+	_ = db.awaitLocked(db.queued) // a poisoned store has nothing left to flush; callers check db.failed
 }
 
 // Put stores value under bucket/key.
@@ -713,9 +619,9 @@ func (db *DB) Compact() error {
 		return ErrClosed
 	}
 	// Queued records must be on the old WAL before it is truncated. The
-	// compacting flag stalls new enqueues (commit's wait loop) — the flush
-	// waits themselves release db.mu, so without the flag a steady writer
-	// stream could starve the drain forever.
+	// compacting flag stalls new enqueues (admitLocked) — the flush
+	// releases db.mu, so without the flag a steady writer stream could
+	// starve the drain forever.
 	db.compacting = true
 	defer func() {
 		db.compacting = false
@@ -764,9 +670,9 @@ func (db *DB) snapshotLocked() error {
 
 // Seq returns the commit sequence: the count of records applied to the
 // in-memory state this process (replayed at Open or committed since).
-// In group-commit mode a record counts only once its batch is durable, so
-// a snapshot taken at Seq() == s can never contain data a crash would
-// lose. Read-side caches use it to stamp decoded snapshots.
+// A record counts only once its batch is durable, so a snapshot taken
+// at Seq() == s can never contain data a crash would lose. Read-side
+// caches use it to stamp decoded snapshots.
 func (db *DB) Seq() uint64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -778,7 +684,7 @@ func (db *DB) Seq() uint64 {
 // is a db read that never happened).
 func (db *DB) Reads() uint64 { return db.reads.Load() }
 
-// CommitStats reports how many group-commit batches ran and how many
+// CommitStats reports how many WAL batches were written and how many
 // records they carried; averageBatch = records/batches.
 func (db *DB) CommitStats() (batches, records int) {
 	db.mu.RLock()
@@ -796,21 +702,15 @@ func (db *DB) WALRecords() int {
 // Close flushes and closes the database.
 func (db *DB) Close() error {
 	db.mu.Lock()
+	defer db.mu.Unlock()
 	if db.closed {
-		db.mu.Unlock()
 		return nil
 	}
 	db.closed = true
-	if db.opts.GroupCommit {
-		// The committer drains the queue (releasing any blocked writers)
-		// before it exits; wait for that outside db.mu.
-		db.stopCommit = true
-		db.commitCond.Broadcast()
-		db.mu.Unlock()
-		<-db.committerDone
-		db.mu.Lock()
-	}
-	defer db.mu.Unlock()
+	// Wake writers stalled behind a Compact (they get ErrClosed), then
+	// drain: queued records still reach the WAL before the fd goes away.
+	db.commitCond.Broadcast()
+	db.flushLocked()
 	if err := db.wal.Sync(); err != nil && !errors.Is(err, os.ErrClosed) {
 		db.wal.Close()
 		return fmt.Errorf("kvdb: final fsync: %w", err)

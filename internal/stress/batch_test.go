@@ -13,7 +13,7 @@ import (
 // sequential per-policy calls — and the batch's modelled network share
 // must be a single round trip.
 func TestBatchFetchCollapsesRoundTrips(t *testing.T) {
-	h, err := New(Options{DataDir: t.TempDir(), GroupCommit: true})
+	h, err := New(Options{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
-// Full-stack ablation benchmarks (DESIGN.md §5): N concurrent stakeholders
-// over TLS against one instance, per-record fsync versus group commit. Run:
+// Full-stack benchmarks (DESIGN.md §5): N concurrent stakeholders over TLS
+// against one instance. Run:
 //
 //	go test ./internal/stress -bench=. -benchtime=10x
 //
-// The kvdb-level ablation (BenchmarkConcurrentWriters in internal/kvdb)
+// The kvdb-level grid (BenchmarkConcurrentWriters in internal/kvdb)
 // isolates the WAL; this one shows the end-to-end effect with the HTTP,
 // TLS, attestation, and policy layers on top.
 package stress
@@ -40,20 +40,12 @@ func benchWorkload(b *testing.B, opts Options, stakeholders int) {
 	}
 }
 
-// BenchmarkStakeholders is the end-to-end durability-mode grid.
+// BenchmarkStakeholders is the end-to-end concurrent-stakeholder grid.
 func BenchmarkStakeholders(b *testing.B) {
 	for _, stakeholders := range []int{1, 8} {
-		for _, mode := range []struct {
-			name string
-			opts Options
-		}{
-			{"sync-per-record", Options{}},
-			{"group-commit", Options{GroupCommit: true}},
-		} {
-			b.Run(fmt.Sprintf("%s/stakeholders=%d", mode.name, stakeholders), func(b *testing.B) {
-				benchWorkload(b, mode.opts, stakeholders)
-			})
-		}
+		b.Run(fmt.Sprintf("stakeholders=%d", stakeholders), func(b *testing.B) {
+			benchWorkload(b, Options{}, stakeholders)
+		})
 	}
 }
 
@@ -73,7 +65,6 @@ func BenchmarkReadHeavy(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			h, err := New(Options{
 				DataDir:            b.TempDir(),
-				GroupCommit:        true,
 				DisablePolicyCache: mode.disable,
 			})
 			if err != nil {

@@ -130,7 +130,6 @@ func RunFleetKillShard(opts FleetKillOptions) (*FleetReport, error) {
 		Shards:      opts.Shards,
 		Replication: 2,
 		DataDir:     opts.DataDir,
-		GroupCommit: true,
 		Observe:     true,
 	})
 	if err != nil {

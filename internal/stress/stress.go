@@ -7,8 +7,7 @@
 //
 // It serves three consumers: the -race concurrency regression tests (many
 // stakeholders against one instance must be linearizable and error-free),
-// the group-commit ablation benchmarks (per-record fsync versus batched
-// WAL commit under concurrent load, DESIGN.md §5), and the read-path
+// the full-stack concurrent-stakeholder benchmarks (DESIGN.md §5), and the read-path
 // cache ablation (RunReadHeavy: repeated attestation and secret fetching
 // with the decode-once policy cache on versus off, DESIGN.md §8).
 package stress
@@ -39,10 +38,6 @@ import (
 type Options struct {
 	// DataDir stores the instance database (required).
 	DataDir string
-	// GroupCommit selects the batched WAL durability mode.
-	GroupCommit bool
-	// DBNoFsync disables fsync entirely (non-durable ablation baseline).
-	DBNoFsync bool
 	// DisablePolicyCache turns the instance's decode-once policy cache
 	// off — the read-path ablation baseline (DESIGN.md §8).
 	DisablePolicyCache bool
@@ -106,8 +101,6 @@ func New(opts Options) (*Harness, error) {
 		Platform:           p,
 		DataDir:            opts.DataDir,
 		Evaluator:          opts.Evaluator,
-		DBNoFsync:          opts.DBNoFsync,
-		DBGroupCommit:      opts.GroupCommit,
 		DisablePolicyCache: opts.DisablePolicyCache,
 		Obs:                opts.Obs,
 	})

@@ -12,54 +12,42 @@ import (
 // every operation must succeed — no lost updates, no stale sessions, no
 // data races.
 func TestConcurrentStakeholders(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		opts Options
-	}{
-		{"per-record-fsync", Options{}},
-		{"group-commit", Options{GroupCommit: true}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			opts := mode.opts
-			opts.DataDir = t.TempDir()
-			h, err := New(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer h.Close()
-
-			rep, err := h.Run(context.Background(), WorkloadOptions{
-				Stakeholders: 6,
-				Iterations:   4,
-				TagPushes:    2,
-			})
-			if err != nil {
-				t.Fatalf("workload error: %v\n%s", err, rep)
-			}
-			if rep.Errors != 0 {
-				t.Fatalf("workload had %d errors\n%s", rep.Errors, rep)
-			}
-			// create + iterations*(read+fetch+update+attest+2*push+exit) + delete
-			wantPerStakeholder := 1 + 4*(1+1+1+1+2+1) + 1
-			if want := 6 * wantPerStakeholder; rep.Ops != want {
-				t.Fatalf("ops = %d, want %d\n%s", rep.Ops, want, rep)
-			}
-			// Every session exited cleanly, policies deleted.
-			names, err := h.Instance.ListPolicyNames()
-			if err != nil {
-				t.Fatalf("ListPolicyNames: %v", err)
-			}
-			if len(names) != 0 {
-				t.Fatalf("%d policies left behind", len(names))
-			}
-			t.Logf("\n%s", rep)
-		})
+	h, err := New(Options{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer h.Close()
+
+	rep, err := h.Run(context.Background(), WorkloadOptions{
+		Stakeholders: 6,
+		Iterations:   4,
+		TagPushes:    2,
+	})
+	if err != nil {
+		t.Fatalf("workload error: %v\n%s", err, rep)
+	}
+	if rep.Errors != 0 {
+		t.Fatalf("workload had %d errors\n%s", rep.Errors, rep)
+	}
+	// create + iterations*(read+fetch+update+attest+2*push+exit) + delete
+	wantPerStakeholder := 1 + 4*(1+1+1+1+2+1) + 1
+	if want := 6 * wantPerStakeholder; rep.Ops != want {
+		t.Fatalf("ops = %d, want %d\n%s", rep.Ops, want, rep)
+	}
+	// Every session exited cleanly, policies deleted.
+	names, err := h.Instance.ListPolicyNames()
+	if err != nil {
+		t.Fatalf("ListPolicyNames: %v", err)
+	}
+	if len(names) != 0 {
+		t.Fatalf("%d policies left behind", len(names))
+	}
+	t.Logf("\n%s", rep)
 }
 
 // TestStressReportAccounting sanity-checks the latency accounting.
 func TestStressReportAccounting(t *testing.T) {
-	h, err := New(Options{DataDir: t.TempDir(), GroupCommit: true})
+	h, err := New(Options{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +80,7 @@ func TestStressReportAccounting(t *testing.T) {
 
 // TestWorkloadHonoursContext proves a cancelled run stops promptly.
 func TestWorkloadHonoursContext(t *testing.T) {
-	h, err := New(Options{DataDir: t.TempDir(), GroupCommit: true})
+	h, err := New(Options{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +102,7 @@ func TestWorkloadHonoursContext(t *testing.T) {
 
 // TestSkipCRUDWorkload drives the pure attest/tag-push hot path.
 func TestSkipCRUDWorkload(t *testing.T) {
-	h, err := New(Options{DataDir: t.TempDir(), GroupCommit: true})
+	h, err := New(Options{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +138,6 @@ func TestReadHeavyWorkload(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			h, err := New(Options{
 				DataDir:            t.TempDir(),
-				GroupCommit:        true,
 				DisablePolicyCache: mode.disable,
 			})
 			if err != nil {

@@ -192,9 +192,6 @@ type DeploymentOptions struct {
 	Evaluator *board.Evaluator
 	// Recover acknowledges a fail-over after a crash (§IV-D).
 	Recover bool
-	// GroupCommit batches concurrent database writers into one fsync —
-	// the high-throughput mode for many concurrent stakeholders.
-	GroupCommit bool
 	// Limits enables admission control in front of every route: per-tenant
 	// token-bucket rate limits plus a bounded instance-wide concurrency
 	// gate, keyed by the client-certificate identity. Nil serves without
@@ -299,12 +296,11 @@ func StartService(opts DeploymentOptions) (*Deployment, error) {
 	}
 
 	inst, err := core.Open(core.Options{
-		Platform:      p,
-		DataDir:       opts.DataDir,
-		Evaluator:     opts.Evaluator,
-		Recover:       opts.Recover,
-		DBGroupCommit: opts.GroupCommit,
-		Obs:           bundle,
+		Platform:  p,
+		DataDir:   opts.DataDir,
+		Evaluator: opts.Evaluator,
+		Recover:   opts.Recover,
+		Obs:       bundle,
 	})
 	if err != nil {
 		closeAudit()
