@@ -221,10 +221,19 @@ func (c *Client) doRaw(ctx context.Context, method, path string, in any, headers
 		return 0, nil, nil, fmt.Errorf("core: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, wire.MaxResponseBytes+1))
-	if err != nil {
+	// A declared length sizes the buffer in one step, where io.ReadAll
+	// starts at 512 B and regrows; MinRead past it is the room ReadFrom
+	// wants free before the read that returns EOF. A length that is absent
+	// (-1, chunked) or over the cap sizes nothing: the cap below is
+	// enforced on the bytes that arrive, not on a header.
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= wire.MaxResponseBytes {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, wire.MaxResponseBytes+1)); err != nil {
 		return 0, nil, nil, fmt.Errorf("core: read response: %w", err)
 	}
+	raw := buf.Bytes()
 	if len(raw) > wire.MaxResponseBytes {
 		return 0, nil, nil, fmt.Errorf("%w: %s %s", ErrResponseTooLarge, method, path)
 	}

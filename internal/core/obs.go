@@ -134,8 +134,10 @@ func (s *Server) obsHandler(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rq := &obs.Request{ID: obs.NewRequestID(), Tenant: "anon"}
-		if id, ok := clientID(r); ok {
-			rq.Tenant = id.Short()
+		// Hashed once here; admission and the handlers read it back through
+		// clientID instead of hashing the certificate again.
+		if id, ok := peerFingerprint(r); ok {
+			rq.Peer, rq.HasPeer, rq.Tenant = id, true, id.Short()
 		}
 		r = r.WithContext(obs.WithRequest(r.Context(), rq))
 		sw := &statusWriter{ResponseWriter: w}

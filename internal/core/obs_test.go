@@ -3,8 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/tls"
+	"crypto/x509"
 	"errors"
 	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -247,5 +251,40 @@ func TestObsLiveAuditChain(t *testing.T) {
 	}
 	if _, _, err := obs.VerifyAuditFile(tpath); err == nil {
 		t.Fatal("tampered audit chain verified")
+	}
+}
+
+// TestClientIDFromEdgeOrCertificate: behind the middleware the handlers
+// take the identity the edge hashed (and only that: the certificate is not
+// looked at again); without a middleware they hash the certificate
+// themselves, and both agree on what "no certificate" is.
+func TestClientIDFromEdgeOrCertificate(t *testing.T) {
+	cert, want, err := NewClientCertificate("edge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := x509.ParseCertificate(cert.Certificate[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	withCert := httptest.NewRequest("GET", "/v2/policies", nil)
+	withCert.TLS = &tls.ConnectionState{PeerCertificates: []*x509.Certificate{leaf}}
+	bare := httptest.NewRequest("GET", "/v2/policies", nil)
+
+	if id, ok := clientID(withCert); !ok || id != want {
+		t.Fatalf("no middleware, certificate: %x %v, want %x", id, ok, want)
+	}
+	if _, ok := clientID(bare); ok {
+		t.Fatal("no middleware, no certificate: an identity appeared")
+	}
+
+	edge := func(r *http.Request, rq *obs.Request) *http.Request {
+		return r.WithContext(obs.WithRequest(r.Context(), rq))
+	}
+	if id, ok := clientID(edge(bare, &obs.Request{Peer: want, HasPeer: true})); !ok || id != want {
+		t.Fatalf("middleware, identity carried: %x %v, want %x", id, ok, want)
+	}
+	if _, ok := clientID(edge(withCert, &obs.Request{})); ok {
+		t.Fatal("middleware found no certificate, the handler hashed one anyway")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,8 +9,10 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"palaemon/internal/board"
 	"palaemon/internal/kvdb"
 	"palaemon/internal/policy"
+	"palaemon/internal/wire"
 )
 
 // This file is the read-side counterpart of the write-path scaling work
@@ -51,8 +54,10 @@ type policyVersion struct {
 }
 
 // policySnapshot is one immutable decoded policy state plus its derived
-// release artefacts. Nothing in it is ever mutated after construction;
-// handlers receive copies (policy.Clone, Compiled's copying accessors).
+// release artefacts. Nothing in it is ever mutated after construction
+// except the memos below, each written once; handlers receive copies
+// (policy.Clone, Compiled's copying accessors) or, for secretsBody, a byte
+// slice they only ever read.
 type policySnapshot struct {
 	// pol is the decoded stored policy. Read-only.
 	pol *policy.Policy
@@ -67,6 +72,16 @@ type policySnapshot struct {
 	// values are not resolved here, matching what ReadPolicy/FetchSecrets
 	// have always served.
 	compiled *policy.Compiled
+
+	// digest memoizes board.DigestPolicy(pol) and body the encoded
+	// wire.SecretsResponse releasing every secret: both depend on pol
+	// alone, are built on first use, and go when the snapshot goes — the
+	// invalidate-under-write-lock protocol above covers them as it covers
+	// pol, so neither can be staler than the snapshot that holds it.
+	digestOnce sync.Once
+	digest     [32]byte
+	bodyOnce   sync.Once
+	body       []byte
 
 	// resolveMu guards resolved for policies with imports; import-free
 	// policies set resolved once at decode time and never rewrite it.
@@ -91,6 +106,33 @@ type resolvedPolicy struct {
 	// compiled is the release view of the RESOLVED policy (imported
 	// secret values present).
 	compiled *policy.Compiled
+}
+
+// boardDigest returns the content digest board members sign off on for
+// this revision, hashed on the first call.
+func (s *policySnapshot) boardDigest() [32]byte {
+	s.digestOnce.Do(func() { s.digest = board.DigestPolicy(s.pol) })
+	return s.digest
+}
+
+// secretsBody returns the response body that releases every secret of this
+// revision, exactly as writeJSON encodes wire.SecretsResponse{Secrets:
+// compiled.Secrets()}, encoded on the first call. The bytes are shared by
+// every request served from the snapshot and are only ever read: written
+// straight to the connection, never handed to a caller that could write
+// to them. They hold secret values for as long as the snapshot lives —
+// in enclave memory, never persisted, like pol itself.
+func (s *policySnapshot) secretsBody() json.RawMessage {
+	s.bodyOnce.Do(func() {
+		var buf bytes.Buffer
+		// Cannot fail: a map of strings into memory (invalid UTF-8 is
+		// replaced, not refused).
+		_ = json.NewEncoder(&buf).Encode(wire.SecretsResponse{Secrets: s.compiled.Secrets()})
+		// The body lives as long as the snapshot; leave the buffer's spare
+		// capacity behind.
+		s.body = bytes.Clone(buf.Bytes())
+	})
+	return s.body
 }
 
 // policyCache maps policy name → decoded snapshot, striped like the locks

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 	"strings"
 
@@ -14,6 +15,7 @@ import (
 	"palaemon/internal/cryptoutil"
 	"palaemon/internal/kvdb"
 	"palaemon/internal/policy"
+	"palaemon/internal/wire"
 )
 
 // ClientID identifies a client by the fingerprint of its TLS certificate.
@@ -77,8 +79,7 @@ func (i *Instance) createPolicy(ctx context.Context, client ClientID, p *policy.
 		PolicyName: stored.Name,
 		Operation:  "create",
 		Revision:   stored.Revision,
-		Digest:     board.DigestPolicy(stored),
-	}); err != nil {
+	}, func() [32]byte { return board.DigestPolicy(stored) }); err != nil {
 		return err
 	}
 	// The per-name lock plus recheck makes the store atomic: of two racing
@@ -108,11 +109,6 @@ func (i *Instance) policyNameFree(name string) error {
 // ReadPolicy returns the policy with secrets, to its creator only, after
 // board approval of the read (§III-C permits the board to guard all CRUD).
 func (i *Instance) ReadPolicy(ctx context.Context, client ClientID, name string) (*policy.Policy, error) {
-	if err := i.begin(); err != nil {
-		return nil, err
-	}
-	defer i.end()
-
 	s, err := i.readGate(ctx, client, name)
 	if err != nil {
 		return nil, err
@@ -121,12 +117,17 @@ func (i *Instance) ReadPolicy(ctx context.Context, client ClientID, name string)
 	return s.pol.Clone(), nil
 }
 
-// readGate is the two-stage read gate shared by ReadPolicy and
-// FetchSecrets: creator-certificate pinning, board approval of the read,
-// and the optimistic revision recheck. It returns the validated snapshot
-// (read-only; callers release clones or compiled copies, never the
-// snapshot itself). Callers have begun a request already.
+// readGate is one gated read, shared by ReadPolicy, FetchSecrets and the
+// secrets route: creator-certificate pinning, board approval of the read,
+// and the optimistic revision recheck, inside the request's drain window.
+// It returns the validated snapshot (read-only; callers release clones,
+// compiled copies or the encoded body, never the snapshot itself).
 func (i *Instance) readGate(ctx context.Context, client ClientID, name string) (*policySnapshot, error) {
+	if err := i.begin(); err != nil {
+		return nil, err
+	}
+	defer i.end()
+
 	s, err := i.snapshot(name)
 	if err != nil {
 		return nil, err
@@ -138,8 +139,7 @@ func (i *Instance) readGate(ctx context.Context, client ClientID, name string) (
 		PolicyName: name,
 		Operation:  "read",
 		Revision:   s.version.Revision,
-		Digest:     board.DigestPolicy(s.pol),
-	}); err != nil {
+	}, s.boardDigest); err != nil {
 		return nil, err
 	}
 	// Optimistic validation instead of holding a stripe lock across the
@@ -205,8 +205,7 @@ func (i *Instance) updatePolicy(ctx context.Context, client ClientID, next *poli
 		PolicyName: stored.Name,
 		Operation:  "update",
 		Revision:   stored.Revision,
-		Digest:     board.DigestPolicy(stored),
-	}); err != nil {
+	}, func() [32]byte { return board.DigestPolicy(stored) }); err != nil {
 		return err
 	}
 	mu := i.policyLocks.lock(next.Name)
@@ -248,8 +247,7 @@ func (i *Instance) deletePolicy(ctx context.Context, client ClientID, name strin
 		PolicyName: name,
 		Operation:  "delete",
 		Revision:   cur.version.Revision,
-		Digest:     board.DigestPolicy(cur.pol),
-	}); err != nil {
+	}, cur.boardDigest); err != nil {
 		return err
 	}
 	mu := i.policyLocks.lock(name)
@@ -314,14 +312,9 @@ func (i *Instance) ListPolicyNames() ([]string, error) {
 // FetchSecrets returns the named secrets of a policy to its creator, after
 // board approval (the Fig 12 remote-secret-retrieval path). Empty names
 // fetch every secret. The same two-stage gate as ReadPolicy applies, but
-// the release comes from the decoded snapshot's precompiled secret map —
-// a copy per call (copy-on-release), never the cached map itself.
+// the release comes from the decoded snapshot's precompiled release view —
+// a fresh map per call (copy-on-release), never state the snapshot keeps.
 func (i *Instance) FetchSecrets(ctx context.Context, client ClientID, policyName string, names []string) (map[string]string, error) {
-	if err := i.begin(); err != nil {
-		return nil, err
-	}
-	defer i.end()
-
 	s, err := i.readGate(ctx, client, policyName)
 	if err != nil {
 		return nil, err
@@ -333,7 +326,10 @@ func (i *Instance) FetchSecrets(ctx context.Context, client ClientID, policyName
 	for _, n := range names {
 		v, ok := s.compiled.Secret(n)
 		if !ok {
-			return nil, fmt.Errorf("core: policy %s has no secret %q", policyName, n)
+			// The caller named a secret the policy does not define: their
+			// mistake, not a server fault.
+			return nil, wire.NewError(wire.CodeNotFound, http.StatusNotFound, false,
+				fmt.Sprintf("core: policy %s has no secret %q", policyName, n))
 		}
 		out[n] = v
 	}
@@ -365,8 +361,7 @@ func (i *Instance) ResetService(ctx context.Context, client ClientID, policyName
 		PolicyName: policyName,
 		Operation:  "update",
 		Revision:   s.version.Revision,
-		Digest:     board.DigestPolicy(s.pol),
-	}); err != nil {
+	}, s.boardDigest); err != nil {
 		return err
 	}
 	// Approval ran outside the locks; re-validate under the policy lock so
@@ -396,14 +391,17 @@ func (i *Instance) ResetService(ctx context.Context, client ClientID, policyName
 	return nil
 }
 
-// approve runs the two-stage check's second stage.
-func (i *Instance) approve(ctx context.Context, b policy.Board, req board.Request) error {
+// approve runs the two-stage check's second stage. digest supplies
+// req.Digest and is called only when there is a board to show it to: a
+// board-less policy never pays the marshal-and-hash.
+func (i *Instance) approve(ctx context.Context, b policy.Board, req board.Request, digest func() [32]byte) error {
 	if b.Empty() {
 		return nil
 	}
 	if i.eval == nil {
 		return fmt.Errorf("%w: no evaluator configured for a board-guarded policy", ErrBoardRejected)
 	}
+	req.Digest = digest()
 	d := i.eval.Evaluate(ctx, b, req)
 	if !d.Approved {
 		if d.VetoedBy != "" {

@@ -235,17 +235,35 @@ func (s *Server) Close() error {
 	return err
 }
 
-// clientID extracts the fingerprint of the presented client certificate.
+// clientID returns the fingerprint of the presented client certificate:
+// the one the edge middleware hashed and left in the request context when
+// there is one, hashed here otherwise (ServerOptions.Obs == nil installs
+// no middleware).
 func clientID(r *http.Request) (ClientID, bool) {
+	if rq := obs.RequestFrom(r.Context()); rq != nil {
+		return ClientID(rq.Peer), rq.HasPeer
+	}
+	return peerFingerprint(r)
+}
+
+// peerFingerprint hashes the peer certificate of the request's connection.
+func peerFingerprint(r *http.Request) (ClientID, bool) {
 	if r.TLS == nil || len(r.TLS.PeerCertificates) == 0 {
 		return ClientID{}, false
 	}
 	return ClientID(cryptoutil.CertFingerprint(r.TLS.PeerCertificates[0].Raw)), true
 }
 
+// writeJSON is the one writer of response bodies. A json.RawMessage is a
+// body some earlier call of this encoder produced (trailing newline
+// included) and goes out verbatim; anything else is encoded here.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	if raw, ok := v.(json.RawMessage); ok {
+		_, _ = w.Write(raw)
+		return
+	}
 	_ = json.NewEncoder(w).Encode(v)
 }
 

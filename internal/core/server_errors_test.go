@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"palaemon/internal/sgx"
+	"palaemon/internal/wire"
 )
 
 // rawHTTPClient builds an HTTP client with (optionally) a client
@@ -64,6 +65,11 @@ func TestServerHandlerErrorPaths(t *testing.T) {
 		return string(raw)
 	}
 
+	// A policy of authed's own, for errors past the creator check.
+	if status, raw := rawDo(t, authed, "POST", s.server.URL()+"/v2/policies", marshalPolicy("owned")); status != http.StatusCreated {
+		t.Fatalf("create owned: status %d, body %s", status, raw)
+	}
+
 	cases := []struct {
 		name       string
 		client     *http.Client
@@ -94,6 +100,10 @@ func TestServerHandlerErrorPaths(t *testing.T) {
 		{"delete unknown policy", authed, "DELETE", "/v2/policies/no-such", "", http.StatusNotFound},
 		{"secrets unknown policy", authed, "POST", "/v2/policies/no-such/secrets", `{}`, http.StatusNotFound},
 
+		// Unknown secret of a known policy: the caller's typo, not a server
+		// fault (it used to answer internal / 500).
+		{"secrets unknown name", authed, "POST", "/v2/policies/owned/secrets", `{"names":["api_tokne"]}`, http.StatusNotFound},
+
 		// Name mismatch between path and body.
 		{"update name mismatch", authed, "PUT", "/v2/policies/a", marshalPolicy("b"), http.StatusBadRequest},
 
@@ -112,6 +122,12 @@ func TestServerHandlerErrorPaths(t *testing.T) {
 			}
 			decodeEnvelope(t, raw)
 		})
+	}
+
+	// Status alone cannot tell the unknown secret from the unknown policy.
+	_, raw := rawDo(t, authed, "POST", s.server.URL()+"/v2/policies/owned/secrets", `{"names":["api_tokne"]}`)
+	if e := decodeEnvelope(t, raw); e.Code != wire.CodeNotFound {
+		t.Fatalf("unknown secret: code %q, want %q; body %s", e.Code, wire.CodeNotFound, raw)
 	}
 }
 

@@ -259,6 +259,17 @@ func (s *Server) v2FetchSecrets(w http.ResponseWriter, r *http.Request) {
 	if !s.shardCheck(w, r, r.PathValue("name")) {
 		return
 	}
+	if len(req.Names) == 0 {
+		// Every secret: the response depends on the stored revision alone,
+		// so the snapshot keeps it encoded. Same gate as FetchSecrets.
+		snap, err := s.inst.readGate(r.Context(), id, r.PathValue("name"))
+		if err != nil {
+			writeWireErr(w, r, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, snap.secretsBody())
+		return
+	}
 	secrets, err := s.inst.FetchSecrets(r.Context(), id, r.PathValue("name"), req.Names)
 	if err != nil {
 		writeWireErr(w, r, err)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -405,6 +406,7 @@ func TestV2BatchMixedOps(t *testing.T) {
 		{Op: wire.OpFetchSecrets, Policy: "no-such"},
 		{Op: wire.OpPushTag, Token: "stale"},
 		{Op: "frobnicate"},
+		{Op: wire.OpFetchSecrets, Policy: "b-one", Names: []string{"api_tokne"}},
 	}, nil)
 	if err != nil {
 		t.Fatalf("Batch: %v", err)
@@ -426,6 +428,10 @@ func TestV2BatchMixedOps(t *testing.T) {
 	}
 	if results[5].Error == nil || results[5].Error.Code != wire.CodeBadRequest {
 		t.Fatalf("unknown op: %+v", results[5])
+	}
+	// A misspelt secret name is the caller's mistake: not_found, not internal.
+	if e := results[6].Error; e == nil || e.Code != wire.CodeNotFound || e.Status != http.StatusNotFound {
+		t.Fatalf("unknown-secret op: %+v", results[6])
 	}
 
 	// Oversized batches are refused whole, with the explicit code.
@@ -519,6 +525,54 @@ func TestClientResponseTooLarge(t *testing.T) {
 	_, err := cli.Attestation(context.Background())
 	if !errors.Is(err, ErrResponseTooLarge) {
 		t.Fatalf("oversized response = %v, want ErrResponseTooLarge", err)
+	}
+}
+
+// TestClientBodySizing covers the three things a response's declared
+// length can be when doRaw sizes its read buffer from it: present and
+// within the cap (buffer sized once), absent (-1: a chunked response, the
+// buffer grows as the body arrives) and over the cap (sizes nothing; the
+// cap is enforced on the bytes read, and still reports the sentinel;
+// TestClientResponseTooLarge is the chunked body over the cap).
+func TestClientBodySizing(t *testing.T) {
+	serve := func(size int, declare bool) *Client {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			body := `{"mre":"` + strings.Repeat("x", size) + `"}` + "\n"
+			w.Header().Set("Content-Type", "application/json")
+			if declare {
+				w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+				io.WriteString(w, body)
+				return
+			}
+			// A flush before the handler returns forces chunked encoding.
+			io.WriteString(w, body[:len(body)/2])
+			w.(http.Flusher).Flush()
+			io.WriteString(w, body[len(body)/2:])
+		}))
+		t.Cleanup(srv.Close)
+		return NewClient(ClientOptions{BaseURL: srv.URL})
+	}
+	for _, tc := range []struct {
+		name    string
+		size    int
+		declare bool
+		wantErr error
+	}{
+		{"declared, one byte", 1, true, nil},
+		{"declared, 100 KiB", 100 << 10, true, nil},
+		{"chunked, one byte", 1, false, nil},
+		{"chunked, 100 KiB", 100 << 10, false, nil},
+		{"declared, over the cap", wire.MaxResponseBytes, true, ErrResponseTooLarge},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			doc, err := serve(tc.size, tc.declare).Attestation(context.Background())
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if err == nil && doc.MRE != strings.Repeat("x", tc.size) {
+				t.Fatalf("body of %d bytes arrived as %d", tc.size, len(doc.MRE))
+			}
+		})
 	}
 }
 

@@ -19,6 +19,11 @@ type Request struct {
 	ID string
 	// Tenant is the short client identity used as a metric label.
 	Tenant string
+	// Peer is the SHA-256 fingerprint of the client certificate and
+	// HasPeer whether one was presented: the server edge hashes it once,
+	// for Tenant, and everything behind it reads it from here.
+	Peer    [32]byte
+	HasPeer bool
 
 	code string
 }

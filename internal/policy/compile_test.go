@@ -89,3 +89,58 @@ func TestCompileEmptyShapes(t *testing.T) {
 		t.Fatalf("injection files %v, want nil", files)
 	}
 }
+
+// TestCompiledSecretLookup checks the sorted-pair store against the map it
+// replaced: whatever order the policy lists its secrets in, Secrets equals
+// SecretValues, Secret finds every name and nothing else, and substitution
+// saw the same values.
+func TestCompiledSecretLookup(t *testing.T) {
+	cases := []struct {
+		name    string
+		secrets []Secret
+	}{
+		{"empty", nil},
+		{"one", []Secret{{Name: "a", Value: "1"}}},
+		{"sorted", []Secret{{Name: "a", Value: "1"}, {Name: "b", Value: "2"}, {Name: "c", Value: "3"}}},
+		{"unsorted", []Secret{{Name: "zeta", Value: "26"}, {Name: "Alpha", Value: "0"}, {Name: "mu", Value: "12"}, {Name: "alpha", Value: "1"}, {Name: "", Value: "empty name"}}},
+		{"prefixes", []Secret{{Name: "ab", Value: "2"}, {Name: "abc", Value: "3"}, {Name: "a", Value: "1"}}},
+		// Validate refuses this one; Compile keeps SecretValues' answer for it.
+		{"duplicate name, last wins", []Secret{{Name: "k", Value: "old"}, {Name: "a", Value: "1"}, {Name: "k", Value: "new"}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &Policy{
+				Name:     "p",
+				Services: []Service{{Name: "svc", Command: "run $$a $$k $$zeta", MREnclaves: []sgx.Measurement{{1}}}},
+				Secrets:  tc.secrets,
+			}
+			want := p.SecretValues()
+			c := Compile(p)
+
+			got := c.Secrets()
+			if got == nil || len(got) != len(want) {
+				t.Fatalf("Secrets() = %v, want %v", got, want)
+			}
+			for name, v := range want {
+				if got[name] != v {
+					t.Errorf("Secrets()[%q] = %q, want %q", name, got[name], v)
+				}
+				if one, ok := c.Secret(name); !ok || one != v {
+					t.Errorf("Secret(%q) = %q, %v, want %q", name, one, ok, v)
+				}
+			}
+			for _, absent := range []string{"missing", "aa", "zz", "\x00"} {
+				if _, listed := want[absent]; listed {
+					continue
+				}
+				if v, ok := c.Secret(absent); ok {
+					t.Errorf("Secret(%q) = %q, want absent", absent, v)
+				}
+			}
+			cs, _ := c.Service("svc")
+			if wantCmd := Substitute("run $$a $$k $$zeta", want); cs.Command != wantCmd {
+				t.Errorf("command %q, want %q", cs.Command, wantCmd)
+			}
+		})
+	}
+}

@@ -53,7 +53,8 @@ const (
 	CodeMethodNotAllowed = "method_not_allowed"
 	// CodeUnsupportedMedia reports a request body that is not JSON.
 	CodeUnsupportedMedia = "unsupported_media_type"
-	// CodeNotFound reports a path outside the route table.
+	// CodeNotFound reports a path outside the route table, or a secret name
+	// the policy does not define.
 	CodeNotFound = "not_found"
 	// CodePolicyNotFound reports a missing policy (or service).
 	CodePolicyNotFound = "policy_not_found"
