@@ -63,7 +63,7 @@ type ScenarioResult struct {
 }
 
 // Summary aggregates the whole sweep; CI serialises it as the
-// CHAOS_pr9.json artifact.
+// chaos-sweep artifact.
 type Summary struct {
 	Seed        int64            `json:"seed"`
 	FaultPoints int              `json:"fault_points"`

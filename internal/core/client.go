@@ -221,19 +221,10 @@ func (c *Client) doRaw(ctx context.Context, method, path string, in any, headers
 		return 0, nil, nil, fmt.Errorf("core: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	// A declared length sizes the buffer in one step, where io.ReadAll
-	// starts at 512 B and regrows; MinRead past it is the room ReadFrom
-	// wants free before the read that returns EOF. A length that is absent
-	// (-1, chunked) or over the cap sizes nothing: the cap below is
-	// enforced on the bytes that arrive, not on a header.
-	var buf bytes.Buffer
-	if n := resp.ContentLength; n > 0 && n <= wire.MaxResponseBytes {
-		buf.Grow(int(n) + bytes.MinRead)
-	}
-	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, wire.MaxResponseBytes+1)); err != nil {
+	raw, err := readSized(io.LimitReader(resp.Body, wire.MaxResponseBytes+1), resp.ContentLength)
+	if err != nil {
 		return 0, nil, nil, fmt.Errorf("core: read response: %w", err)
 	}
-	raw := buf.Bytes()
 	if len(raw) > wire.MaxResponseBytes {
 		return 0, nil, nil, fmt.Errorf("%w: %s %s", ErrResponseTooLarge, method, path)
 	}
@@ -278,7 +269,7 @@ func (c *Client) doOnce(ctx context.Context, method, path string, in, out any, t
 		return decodeError(method, path, status, raw)
 	}
 	if out != nil {
-		if err := json.Unmarshal(raw, out); err != nil {
+		if err := wire.Unmarshal(raw, out); err != nil {
 			return fmt.Errorf("core: decode response: %w", err)
 		}
 	}
@@ -320,7 +311,7 @@ const maxErrorExcerpt = 256
 // status code alone does not say which instance error occurred.
 func decodeError(method, path string, status int, raw []byte) error {
 	var we wire.Error
-	if json.Unmarshal(raw, &we) == nil && we.Code != "" {
+	if wire.Unmarshal(raw, &we) == nil && we.Code != "" {
 		if we.Status == 0 {
 			we.Status = status
 		}
@@ -366,7 +357,7 @@ func (c *Client) ReadPolicyIfChanged(ctx context.Context, name string, knownCrea
 		return nil, false, decodeError(http.MethodGet, "/policies/"+name, status, raw)
 	}
 	var got policy.Policy
-	if err := json.Unmarshal(raw, &got); err != nil {
+	if err := wire.Unmarshal(raw, &got); err != nil {
 		return nil, false, fmt.Errorf("core: decode response: %w", err)
 	}
 	return &got, true, nil

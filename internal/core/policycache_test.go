@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -424,6 +425,32 @@ func TestSecretsBodyByteIdentity(t *testing.T) {
 			}
 			if again := s.secretsBody(); len(got) > 0 && &again[0] != &got[0] {
 				t.Fatal("second call encoded again")
+			}
+			// And back: what the client makes of the body is the policy's
+			// secrets (invalid UTF-8 arrives repaired, as it was sent).
+			var back, viaStd wire.SecretsResponse
+			if err := wire.Unmarshal(got, &back); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(got, &viaStd); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(back, viaStd) || len(back.Secrets) != len(p.SecretValues()) {
+				t.Fatalf("decoded %v, encoding/json decodes %v", back.Secrets, viaStd.Secrets)
+			}
+			// A body of plain ASCII strings decodes within the scanner's
+			// budget (wire.TestSecretsDecodeAllocBudget), which encoding/json
+			// cannot meet: the snapshot's bodies are on the fast path.
+			if tc.name != "hostile names and values" && !raceEnabled {
+				allocs := testing.AllocsPerRun(20, func() {
+					var out wire.SecretsResponse
+					if err := wire.Unmarshal(got, &out); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if budget := float64(2*len(tc.secrets) + 6); allocs > budget {
+					t.Fatalf("decode allocates %.0f, budget %.0f: the body fell off the scanner", allocs, budget)
+				}
 			}
 		})
 	}

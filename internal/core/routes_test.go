@@ -1,8 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"palaemon/internal/sgx"
@@ -38,6 +42,35 @@ func TestRouteTableShape(t *testing.T) {
 	} {
 		if !seen[label] {
 			t.Errorf("route %q is gone from the table", label)
+		}
+	}
+}
+
+// TestWireDecodesThroughOneFunction keeps core at one decode idiom: a file
+// that speaks HTTP (client or server side) hands message bytes to
+// wire.Unmarshal and never to encoding/json's decoders itself. What is
+// left calling json.Unmarshal are the files that read stored records back
+// from kvdb, and they do not import net/http.
+func TestWireDecodesThroughOneFunction(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(src, []byte(`"net/http"`)) {
+			continue
+		}
+		for _, call := range []string{"json.Unmarshal(", "json.NewDecoder("} {
+			if bytes.Contains(src, []byte(call)) {
+				t.Errorf("%s calls %s…): decode wire messages with wire.Unmarshal", file, call)
+			}
 		}
 	}
 }

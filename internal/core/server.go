@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strconv"
 	"time"
 
 	"palaemon/internal/attest"
@@ -256,14 +257,19 @@ func peerFingerprint(r *http.Request) (ClientID, bool) {
 
 // writeJSON is the one writer of response bodies. A json.RawMessage is a
 // body some earlier call of this encoder produced (trailing newline
-// included) and goes out verbatim; anything else is encoded here.
+// included) and goes out verbatim, with its length declared: net/http
+// works a length out itself only below 2 KiB and chunks anything larger,
+// and a chunked body is one the client cannot size its read for. Anything
+// else is encoded here.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
 	if raw, ok := v.(json.RawMessage); ok {
+		w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
+		w.WriteHeader(status)
 		_, _ = w.Write(raw)
 		return
 	}
+	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -27,6 +26,11 @@ const (
 	maxWatchWindow     = 60 * time.Second
 )
 
+// maxRequestPresize is the most a request's Content-Length header may
+// allocate before a body byte is read: room for any policy the tests or the
+// benchmark post, and two orders of magnitude under the message cap.
+const maxRequestPresize = 64 << 10
+
 // writeWireErr renders err as the wire envelope, recording the code in the
 // request's obs state for the canonical log line and the error counter.
 func writeWireErr(w http.ResponseWriter, r *http.Request, err error) {
@@ -35,16 +39,25 @@ func writeWireErr(w http.ResponseWriter, r *http.Request, err error) {
 	writeJSON(w, e.Status, e)
 }
 
-// decodeBodyV2 decodes a JSON request body, classifying failures as
-// bad_request envelopes — except overflow of the contract's symmetric
-// message cap, which MaxBytesReader reports explicitly and maps to the
-// distinct payload_too_large code (the io.LimitReader it replaces silently
+// decodeBodyV2 reads the whole request body, bounded by the contract's
+// symmetric message cap, and decodes it as one JSON value: anything after
+// that value is a malformed request, not a second message to ignore.
+// Failures are bad_request envelopes — except overflow of the cap, which
+// MaxBytesReader reports explicitly and maps to the distinct
+// payload_too_large code (the io.LimitReader it replaced silently
 // truncated, surfacing as a misleading syntax error or even decoding a
 // valid prefix of the oversized body).
+//
+// The declared length comes from a peer that has proven nothing yet, so it
+// sizes the buffer only up to maxRequestPresize; a larger body grows the
+// buffer with the bytes that actually arrive, as json.Decoder's did.
 func decodeBodyV2(w http.ResponseWriter, r *http.Request, v any) error {
 	defer r.Body.Close()
-	body := http.MaxBytesReader(w, r.Body, wire.MaxResponseBytes)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
+	raw, err := readSized(http.MaxBytesReader(w, r.Body, wire.MaxResponseBytes), min(r.ContentLength, maxRequestPresize))
+	if err == nil {
+		err = wire.Unmarshal(raw, v)
+	}
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			return fmt.Errorf("%w (limit %d bytes)", ErrPayloadTooLarge, mbe.Limit)

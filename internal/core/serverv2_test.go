@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -573,6 +575,99 @@ func TestClientBodySizing(t *testing.T) {
 				t.Fatalf("body of %d bytes arrived as %d", tc.size, len(doc.MRE))
 			}
 		})
+	}
+}
+
+// TestRequestPresizeIsClamped is the server's side of the same sizing: a
+// request's Content-Length is a claim by a peer that has proven nothing,
+// so a header declaring the whole message cap over a two-byte body must
+// not buy a cap-sized buffer, and a body larger than the clamp still
+// arrives whole.
+func TestRequestPresizeIsClamped(t *testing.T) {
+	decode := func(body string, declared int64, v any) error {
+		r := httptest.NewRequest(http.MethodPost, "/v2/policies/x/secrets", strings.NewReader(body))
+		r.ContentLength = declared
+		return decodeBodyV2(httptest.NewRecorder(), r, v)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var req wire.FetchSecretsRequest
+	if err := decode(`{}`, wire.MaxResponseBytes, &req); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*maxRequestPresize {
+		t.Errorf("declared %d B over a 2 B body allocated %d B, want about %d", wire.MaxResponseBytes, got, maxRequestPresize)
+	}
+
+	names := make([]string, 20000) // ~160 KiB encoded, past the clamp
+	for i := range names {
+		names[i] = fmt.Sprintf("s%05d", i)
+	}
+	big, err := json.Marshal(wire.FetchSecretsRequest{Names: names})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(big) <= maxRequestPresize {
+		t.Fatalf("body of %d bytes does not pass the %d byte clamp", len(big), maxRequestPresize)
+	}
+	req = wire.FetchSecretsRequest{}
+	if err := decode(string(big), int64(len(big)), &req); err != nil || !reflect.DeepEqual(req.Names, names) {
+		t.Errorf("body past the clamp: %d names, %v; want %d", len(req.Names), err, len(names))
+	}
+}
+
+// TestSecretsResponseDeclaresLength pins the framing of the all-secrets
+// response: whatever its size it carries a Content-Length and is not
+// chunked, so doRaw's sized read covers the large bodies too (net/http on
+// its own declares a length only below 2 KiB). The typed client then
+// decodes what arrived into exactly the stored secrets.
+func TestSecretsResponseDeclaresLength(t *testing.T) {
+	s := newStack(t)
+	ctx := context.Background()
+	cli, _ := s.client(t, "owner")
+	mre := appBinary().Measure()
+	for _, n := range []int{1, 128} {
+		name := fmt.Sprintf("framed-%d", n)
+		pol := genPolicy(name, 1, mre)
+		for i := 1; i < n; i++ {
+			pol.Secrets = append(pol.Secrets, policy.Secret{
+				Name: fmt.Sprintf("s%03d", i), Type: policy.SecretExplicit, Value: strings.Repeat("v", 32),
+			})
+		}
+		if err := cli.CreatePolicy(ctx, pol); err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+			s.server.URL()+wire.PathPrefix+"/policies/"+name+"/secrets", strings.NewReader(`{}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := cli.http.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, err %v, body %s", name, resp.StatusCode, err, body)
+		}
+		if n == 128 && len(body) <= 2048 {
+			t.Fatalf("%s: body of %d bytes does not reach net/http's chunking threshold", name, len(body))
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v for a body of %d bytes",
+				name, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		got, err := cli.FetchSecrets(ctx, name, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := pol.SecretValues(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: decoded %d secrets, want %d: %v", name, len(got), len(want), got)
+		}
 	}
 }
 

@@ -1,13 +1,33 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"palaemon/internal/cryptoutil"
+	"palaemon/internal/wire"
 )
+
+// readSized reads r, which the caller has already capped, to its end. A
+// declared length sizes the buffer in one step, where io.ReadAll starts at
+// 512 B and regrows; MinRead past it is the room ReadFrom wants free
+// before the read that returns EOF. A length that is absent (-1, chunked)
+// or over the wire cap sizes nothing: the cap is enforced on the bytes
+// that arrive, not on a header. The caller passes a length it trusts that
+// far: the client the authenticated server's, the server a clamped one
+// (decodeBodyV2).
+func readSized(r io.Reader, declared int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if declared > 0 && declared <= wire.MaxResponseBytes {
+		buf.Grow(int(declared) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
 
 // readFileIfExists returns (nil, nil) for a missing file.
 func readFileIfExists(path string) ([]byte, error) {
