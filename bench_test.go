@@ -2,7 +2,7 @@
 // benchmark per table and figure of the paper's evaluation (run
 // `go test -bench=. -benchmem`), plus ablation benches for the design
 // choices called out in DESIGN.md §5. The full tables with paper-reference
-// columns are regenerated by `go run ./cmd/benchreport`.
+// columns are regenerated by `go run ./cmd/palaemonreport figures`.
 package palaemon_test
 
 import (
@@ -35,12 +35,6 @@ import (
 
 // benchStack builds an in-process instance on a rate-limit-free platform.
 func benchStack(b *testing.B) (*sgx.Platform, *core.Instance) {
-	return benchStackOpts(b, nil)
-}
-
-// benchStackOpts is benchStack with an Options hook (e.g. the policy-cache
-// ablation toggling core.Options.DisablePolicyCache).
-func benchStackOpts(b *testing.B, mutate func(*core.Options)) (*sgx.Platform, *core.Instance) {
 	b.Helper()
 	model := sgx.DefaultCostModel()
 	model.CounterInterval = 0
@@ -48,11 +42,7 @@ func benchStackOpts(b *testing.B, mutate func(*core.Options)) (*sgx.Platform, *c
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := core.Options{Platform: platform, DataDir: b.TempDir()}
-	if mutate != nil {
-		mutate(&opts)
-	}
-	inst, err := core.Open(opts)
+	inst, err := core.Open(core.Options{Platform: platform, DataDir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -161,10 +151,8 @@ func BenchmarkFig7Startup(b *testing.B) {
 // --- Fig 8 -------------------------------------------------------------------
 
 // BenchmarkFig8Attestation measures one application attestation against a
-// live instance (PALÆMON path, real crypto end to end) — with the
-// decode-once policy cache on (deployment default) and off (the ablation
-// baseline, DESIGN.md §8) — and reports the modelled IAS totals for
-// comparison.
+// live instance (PALÆMON path, real crypto end to end) and reports the
+// modelled IAS totals for comparison.
 func BenchmarkFig8Attestation(b *testing.B) {
 	platform, inst := benchStack(b)
 	bin := sgx.Binary{Name: "app", Code: []byte("app")}
@@ -179,22 +167,6 @@ func BenchmarkFig8Attestation(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ev := attest.NewEvidence(enclave, "fig8", "svc", cryptoutil.MustNewSigner().Public)
 			if _, err := inst.AttestApplication(context.Background(), ev, platform.QuotingKey()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("palaemon-local-nocache", func(b *testing.B) {
-		ncPlatform, ncInst := benchStackOpts(b, func(o *core.Options) { o.DisablePolicyCache = true })
-		benchPolicy(b, ncInst, "fig8", bin, nil)
-		ncEnclave, err := ncPlatform.Launch(bin, sgx.LaunchOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer ncEnclave.Destroy()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ev := attest.NewEvidence(ncEnclave, "fig8", "svc", cryptoutil.MustNewSigner().Public)
-			if _, err := ncInst.AttestApplication(context.Background(), ev, ncPlatform.QuotingKey()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -389,36 +361,28 @@ func BenchmarkFig11SecretInjection(b *testing.B) {
 // --- Fig 12 ------------------------------------------------------------------
 
 // BenchmarkFig12SecretAccess measures in-process secret retrieval for 1 and
-// 100 secrets (the HTTPS and WAN layers are covered by cmd/benchreport),
-// with the decode-once policy cache on and off (DESIGN.md §8).
+// 100 secrets (the HTTPS and WAN layers are covered by
+// `palaemonreport figures -exp fig12`).
 func BenchmarkFig12SecretAccess(b *testing.B) {
 	ctx := context.Background()
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{
-		{"cache", false},
-		{"nocache", true},
-	} {
-		_, inst := benchStackOpts(b, func(o *core.Options) { o.DisablePolicyCache = mode.disable })
-		bin := sgx.Binary{Name: "app", Code: []byte("a")}
-		var names []string
-		benchPolicy(b, inst, "fig12", bin, func(p *policy.Policy) {
-			for i := 0; i < 100; i++ {
-				n := fmt.Sprintf("key_%02d", i)
-				names = append(names, n)
-				p.Secrets = append(p.Secrets, policy.Secret{Name: n, Type: policy.SecretRandom})
+	_, inst := benchStack(b)
+	bin := sgx.Binary{Name: "app", Code: []byte("a")}
+	var names []string
+	benchPolicy(b, inst, "fig12", bin, func(p *policy.Policy) {
+		for i := 0; i < 100; i++ {
+			n := fmt.Sprintf("key_%02d", i)
+			names = append(names, n)
+			p.Secrets = append(p.Secrets, policy.Secret{Name: n, Type: policy.SecretRandom})
+		}
+	})
+	for _, n := range []int{1, 100} {
+		b.Run(fmt.Sprintf("secrets-%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := inst.FetchSecrets(ctx, core.ClientID{1}, "fig12", names[:n]); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
-		for _, n := range []int{1, 100} {
-			b.Run(fmt.Sprintf("%s/secrets-%d", mode.name, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := inst.FetchSecrets(ctx, core.ClientID{1}, "fig12", names[:n]); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 

@@ -19,7 +19,7 @@
 // fault.Plan's seed pins torn-write prefixes, so a failing (scenario,
 // step, mode) triple replays bit-for-bit. The package is framework-free
 // — Run returns a Summary — so the same sweep backs the Go tests and
-// the cmd/chaosreport CI artifact.
+// the `palaemonreport chaos` CI artifact.
 package chaos
 
 import (

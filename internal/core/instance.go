@@ -88,10 +88,6 @@ type Options struct {
 	// version. The paper treats a crash as an attack; recovery is an
 	// explicit operator decision, never automatic.
 	Recover bool
-	// DisablePolicyCache turns the decode-once policy snapshot cache off,
-	// re-decoding policies from the database per request — the read-path
-	// ablation baseline (DESIGN.md §8). Leave false in deployments.
-	DisablePolicyCache bool
 	// Obs is the observability bundle (logger, metrics registry, audit
 	// log). Nil disables instrumentation (the ablation baseline): logging
 	// and audit become no-ops and only the cache collector registration is
@@ -287,7 +283,7 @@ func Open(opts Options) (*Instance, error) {
 		eval:     opts.Evaluator,
 		db:       db,
 		sessions: newSessionTable(),
-		pcache:   newPolicyCache(!opts.DisablePolicyCache),
+		pcache:   newPolicyCache(),
 		watchers: newWatchHub(),
 		drainCh:  make(chan struct{}),
 		obs:      opts.Obs.Or(),

@@ -46,16 +46,11 @@ func (id ClientID) Short() string {
 func registerInstanceCollectors(reg *obs.Registry, i *Instance) {
 	reg.RegisterCollector(obs.CollectorFunc(func() []obs.Sample {
 		cs := i.CacheStats()
-		enabled := int64(0)
-		if cs.Enabled {
-			enabled = 1
-		}
 		i.inflightMu.Lock()
 		inflight := i.inflight
 		i.inflightMu.Unlock()
 		auditSeq, _ := i.obs.Audit.Head()
 		return []obs.Sample{
-			{Name: "palaemon_policy_cache_enabled", Type: "gauge", Help: "Decode-once policy cache enabled.", Value: float64(enabled)},
 			{Name: "palaemon_policy_cache_hits_total", Type: "counter", Help: "Policy cache hits.", Value: float64(cs.Hits)},
 			{Name: "palaemon_policy_cache_misses_total", Type: "counter", Help: "Policy cache misses.", Value: float64(cs.Misses)},
 			{Name: "palaemon_policy_cache_invalidations_total", Type: "counter", Help: "Policy cache invalidations.", Value: float64(cs.Invalidations)},

@@ -136,11 +136,9 @@ func (s *policySnapshot) secretsBody() json.RawMessage {
 }
 
 // policyCache maps policy name → decoded snapshot, striped like the locks
-// it cooperates with. Disabled mode (Options.DisablePolicyCache) keeps the
-// decode-per-request behaviour selectable for the ablation.
+// it cooperates with.
 type policyCache struct {
-	enabled bool
-	shards  [lockStripes]policyCacheShard
+	shards [lockStripes]policyCacheShard
 
 	hits          atomic.Uint64
 	misses        atomic.Uint64
@@ -152,8 +150,8 @@ type policyCacheShard struct {
 	m  map[string]*policySnapshot // palaemon:guardedby mu
 }
 
-func newPolicyCache(enabled bool) *policyCache {
-	c := &policyCache{enabled: enabled}
+func newPolicyCache() *policyCache {
+	c := &policyCache{}
 	for i := range c.shards {
 		//palaemon:allow guardedby -- single-goroutine construction: the cache is not published until newPolicyCache returns
 		c.shards[i].m = make(map[string]*policySnapshot)
@@ -175,9 +173,6 @@ func (c *policyCache) get(name string) (*policySnapshot, bool) {
 // are part of a lookup already counted (snapshot's post-rlock re-check —
 // otherwise every cold read would count twice).
 func (c *policyCache) peek(name string) (*policySnapshot, bool) {
-	if !c.enabled {
-		return nil, false
-	}
 	sh := &c.shards[stripeFor(name)]
 	sh.mu.RLock()
 	s, ok := sh.m[name]
@@ -186,9 +181,6 @@ func (c *policyCache) peek(name string) (*policySnapshot, bool) {
 }
 
 func (c *policyCache) put(name string, s *policySnapshot) {
-	if !c.enabled {
-		return
-	}
 	sh := &c.shards[stripeFor(name)]
 	sh.mu.Lock()
 	sh.m[name] = s
@@ -199,9 +191,6 @@ func (c *policyCache) put(name string, s *policySnapshot) {
 // lock in write mode and have already applied the mutation to the
 // database — the ordering the coherence argument above depends on.
 func (c *policyCache) invalidate(name string) {
-	if !c.enabled {
-		return
-	}
 	c.invalidations.Add(1)
 	sh := &c.shards[stripeFor(name)]
 	sh.mu.Lock()
@@ -210,12 +199,9 @@ func (c *policyCache) invalidate(name string) {
 }
 
 // CacheStats reports the read-path cache counters plus the kvdb read/seq
-// counters behind them, so the cache-on/off ablation is measurable.
+// counters behind them.
 type CacheStats struct {
-	// Enabled reports whether the decode-once cache is active.
-	Enabled bool
-	// Hits/Misses count snapshot lookups; a disabled cache counts every
-	// lookup as a miss.
+	// Hits/Misses count snapshot lookups.
 	Hits, Misses uint64
 	// Invalidations counts entries dropped by the write path.
 	Invalidations uint64
@@ -238,7 +224,6 @@ func (s CacheStats) HitRate() float64 {
 // Since returns the counter deltas relative to an earlier reading.
 func (s CacheStats) Since(prev CacheStats) CacheStats {
 	return CacheStats{
-		Enabled:       s.Enabled,
 		Hits:          s.Hits - prev.Hits,
 		Misses:        s.Misses - prev.Misses,
 		Invalidations: s.Invalidations - prev.Invalidations,
@@ -250,7 +235,6 @@ func (s CacheStats) Since(prev CacheStats) CacheStats {
 // CacheStats reports the instance's read-path cache effectiveness.
 func (i *Instance) CacheStats() CacheStats {
 	return CacheStats{
-		Enabled:       i.pcache.enabled,
 		Hits:          i.pcache.hits.Load(),
 		Misses:        i.pcache.misses.Load(),
 		Invalidations: i.pcache.invalidations.Load(),

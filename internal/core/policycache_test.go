@@ -298,45 +298,6 @@ func TestPolicyCacheColdAfterRestart(t *testing.T) {
 	}
 }
 
-// TestPolicyCacheDisabledAblation pins the Options switch: with the cache
-// off every lookup is a miss and hits the database, and results match the
-// cached mode.
-func TestPolicyCacheDisabledAblation(t *testing.T) {
-	p := fastPlatform(t)
-	inst, err := Open(Options{Platform: p, DataDir: t.TempDir(), DisablePolicyCache: true})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer inst.Shutdown(context.Background())
-	ctx := context.Background()
-
-	if err := inst.CreatePolicy(ctx, clientA(), genPolicy("p", 3, appBinary().Measure())); err != nil {
-		t.Fatalf("CreatePolicy: %v", err)
-	}
-	before := inst.CacheStats()
-	for i := 0; i < 4; i++ {
-		secrets, err := inst.FetchSecrets(ctx, clientA(), "p", nil)
-		if err != nil {
-			t.Fatalf("fetch: %v", err)
-		}
-		if secrets["gen"] != "3" {
-			t.Fatalf("gen %q", secrets["gen"])
-		}
-	}
-	st := inst.CacheStats().Since(before)
-	if st.Enabled {
-		t.Fatal("stats claim the cache is enabled")
-	}
-	if st.Hits != 0 {
-		t.Fatalf("disabled cache recorded hits: %+v", st)
-	}
-	// Every fetch decodes twice (snapshot + version recheck): 4 fetches
-	// must hit kvdb at least 8 times.
-	if st.Misses == 0 || st.DBReads < 8 {
-		t.Fatalf("disabled cache did not read through to kvdb: %+v", st)
-	}
-}
-
 // TestCacheInvalidationOnWrite pins the counter wiring: an update and a
 // delete each drop the entry (and the next read re-decodes).
 func TestCacheInvalidationOnWrite(t *testing.T) {

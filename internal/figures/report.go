@@ -108,7 +108,7 @@ func fmtMBps(v float64) string { return fmt.Sprintf("%.0f MB/s", v) }
 
 // Experiment couples an ID to its generator, for the CLI registry.
 type Experiment struct {
-	// ID is the selector used by cmd/benchreport -exp.
+	// ID is the selector `palaemonreport figures -exp` takes.
 	ID string
 	// Title is the caption shown in listings.
 	Title string
@@ -127,7 +127,6 @@ func All() []Experiment {
 		{ID: "fig10", Title: "Monotonic counter throughput", Run: Fig10},
 		{ID: "fig11", Title: "Tag latency and secret injection overhead", Run: Fig11},
 		{ID: "fig12", Title: "Secret retrieval latency by deployment distance", Run: Fig12},
-		{ID: "fig12-batch", Title: "Batched vs sequential secret retrieval (v2 /batch)", Run: Fig12Batch},
 		{ID: "fig13", Title: "Approval service throughput/latency and geo deployments", Run: Fig13},
 		{ID: "fig14", Title: "Barbican KMS variants under two microcodes", Run: Fig14},
 		{ID: "fig15", Title: "Vault throughput/latency", Run: Fig15},
@@ -136,8 +135,6 @@ func All() []Experiment {
 		{ID: "fig17bc", Title: "ZooKeeper read and write throughput", Run: Fig17bc},
 		{ID: "fig17d", Title: "MariaDB TPC-C vs buffer pool size", Run: Fig17d},
 		{ID: "usecase", Title: "Production ML inference (§VI)", Run: UseCase},
-		{ID: "overload", Title: "Admission control under an overload storm", Run: Overload},
-		{ID: "obs-overhead", Title: "Observability layer overhead (obs on vs off)", Run: ObsOverhead},
 	}
 }
 

@@ -49,46 +49,6 @@ func BenchmarkStakeholders(b *testing.B) {
 	}
 }
 
-// BenchmarkReadHeavy is the read-path cache ablation (DESIGN.md §8):
-// repeated attestation + secret fetch against shared policies with a
-// background updater, decode-once policy cache on versus off. Run:
-//
-//	go test ./internal/stress -bench=ReadHeavy -benchtime=5x
-func BenchmarkReadHeavy(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{
-		{"cache", false},
-		{"nocache", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			h, err := New(Options{
-				DataDir:            b.TempDir(),
-				DisablePolicyCache: mode.disable,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer h.Close()
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				rep, err := h.RunReadHeavy(context.Background(), ReadHeavyOptions{
-					Stakeholders: 8,
-					Policies:     4,
-					Iterations:   100,
-					Secrets:      32,
-				})
-				if err != nil {
-					b.Fatalf("%v\n%s", err, rep)
-				}
-				b.ReportMetric(rep.Throughput(), "ops/sec")
-				b.ReportMetric(100*rep.Cache.HitRate(), "hit-%")
-			}
-		})
-	}
-}
-
 // BenchmarkObsServing is the observability ablation (DESIGN.md §11): one
 // stakeholder fetching secrets over loopback HTTPS with the obs bundle
 // absent versus installed (metrics + histograms; logs discarded). The

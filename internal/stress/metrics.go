@@ -44,8 +44,7 @@ type Report struct {
 	// PerOp breaks the run down by operation kind.
 	PerOp map[string]OpStats
 	// Cache holds the instance's read-path cache and kvdb read counters
-	// accumulated over this run (deltas, not process totals), so the
-	// decode-once-cache ablation is measurable rather than anecdotal.
+	// accumulated over this run (deltas, not process totals).
 	Cache core.CacheStats
 	// Requests is the server-edge RED accounting per route, read from the
 	// observability registry; empty when the harness runs uninstrumented.
@@ -77,8 +76,8 @@ func (r Report) String() string {
 			s.P95.Round(time.Microsecond), s.P99.Round(time.Microsecond), s.Max.Round(time.Microsecond))
 	}
 	if c := r.Cache; c.Hits+c.Misses > 0 || c.DBReads > 0 {
-		fmt.Fprintf(&b, "  policy-cache   enabled=%v hits=%d misses=%d hit-rate=%.1f%% invalidations=%d db-reads=%d db-seq=%d\n",
-			c.Enabled, c.Hits, c.Misses, 100*c.HitRate(), c.Invalidations, c.DBReads, c.DBSeq)
+		fmt.Fprintf(&b, "  policy-cache   hits=%d misses=%d hit-rate=%.1f%% invalidations=%d db-reads=%d db-seq=%d\n",
+			c.Hits, c.Misses, 100*c.HitRate(), c.Invalidations, c.DBReads, c.DBSeq)
 	}
 	b.WriteString(r.Requests)
 	return b.String()

@@ -181,7 +181,7 @@ func (h *Harness) RunOverloadStorm(ctx context.Context, opts OverloadOptions) (O
 			Timeout:     30 * time.Second,
 			MaxRetries:  retries,
 		})
-		if err := s.Client.CreatePolicy(ctx, h.readHeavyPolicy("storm-"+name, opts.Secrets, 0)); err != nil {
+		if err := s.Client.CreatePolicy(ctx, h.secretsPolicy("storm-"+name, opts.Secrets)); err != nil {
 			return nil, fmt.Errorf("stress: create storm-%s: %w", name, err)
 		}
 		ops := make([]wire.BatchOp, opts.BatchOps)
@@ -403,7 +403,7 @@ func (h *Harness) RunSlowLoris(ctx context.Context, opts SlowLorisOptions) (Slow
 		return rep, err
 	}
 	defer s.Client.CloseIdle()
-	if err := s.Client.CreatePolicy(ctx, h.readHeavyPolicy("loris-pol", 4, 0)); err != nil {
+	if err := s.Client.CreatePolicy(ctx, h.secretsPolicy("loris-pol", 4)); err != nil {
 		return rep, fmt.Errorf("stress: create loris-pol: %w", err)
 	}
 

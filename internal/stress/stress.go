@@ -5,11 +5,12 @@
 // tag updates — with per-operation latency and aggregate throughput
 // accounting.
 //
-// It serves three consumers: the -race concurrency regression tests (many
+// Its consumers are the -race concurrency regression tests (many
 // stakeholders against one instance must be linearizable and error-free),
-// the full-stack concurrent-stakeholder benchmarks (DESIGN.md §5), and the read-path
-// cache ablation (RunReadHeavy: repeated attestation and secret fetching
-// with the decode-once policy cache on versus off, DESIGN.md §8).
+// the full-stack concurrent-stakeholder benchmarks (DESIGN.md §5), and the
+// correctness scenarios: overload and slow-loris (§10), Byzantine
+// stakeholders (§13), and the kill-a-shard failover drill behind
+// `palaemonreport fleet` (§14).
 package stress
 
 import (
@@ -31,16 +32,12 @@ import (
 	"palaemon/internal/policy"
 	"palaemon/internal/sgx"
 	"palaemon/internal/simclock"
-	"palaemon/internal/simnet"
 )
 
 // Options configures the deployment under stress.
 type Options struct {
 	// DataDir stores the instance database (required).
 	DataDir string
-	// DisablePolicyCache turns the instance's decode-once policy cache
-	// off — the read-path ablation baseline (DESIGN.md §8).
-	DisablePolicyCache bool
 	// Evaluator reaches policy boards; nil runs board-less policies.
 	Evaluator *board.Evaluator
 	// Limits enables admission control in front of every server route
@@ -52,8 +49,8 @@ type Options struct {
 	ReadTimeout time.Duration
 	// Obs installs an observability bundle (request metrics, structured
 	// logs, optional audit chain) on the instance and server. Nil serves
-	// fully uninstrumented — the ablation baseline the obs-overhead
-	// experiment compares against. The overload scenarios require it:
+	// fully uninstrumented — the baseline BenchmarkObsServing compares
+	// against. The overload scenarios require it:
 	// their latency figures come from the server-side histograms.
 	Obs *obs.Obs
 }
@@ -98,11 +95,10 @@ func New(opts Options) (*Harness, error) {
 	iasSvc.RegisterPlatform(p.ID(), p.QuotingKey())
 
 	inst, err := core.Open(core.Options{
-		Platform:           p,
-		DataDir:            opts.DataDir,
-		Evaluator:          opts.Evaluator,
-		DisablePolicyCache: opts.DisablePolicyCache,
-		Obs:                opts.Obs,
+		Platform:  p,
+		DataDir:   opts.DataDir,
+		Evaluator: opts.Evaluator,
+		Obs:       opts.Obs,
 	})
 	if err != nil {
 		return nil, err
@@ -160,7 +156,7 @@ type Stakeholder struct {
 	// Client is the stakeholder's pooled TLS client.
 	Client *core.Client
 	// Cert is the stakeholder's certificate, so scenarios can mint extra
-	// clients sharing the identity (e.g. at a modelled WAN distance).
+	// clients sharing the identity (e.g. with a retry policy).
 	Cert *tls.Certificate
 }
 
@@ -180,19 +176,6 @@ func (h *Harness) NewStakeholder(name string) (*Stakeholder, error) {
 		Timeout:     30 * time.Second,
 	})
 	return &Stakeholder{Name: name, ID: id, Client: cli, Cert: cert}, nil
-}
-
-// StakeholderAt mints a client sharing s's certificate identity at the
-// given modelled network distance (charged to trackers by the scenarios,
-// so nothing actually sleeps).
-func (h *Harness) StakeholderAt(s *Stakeholder, profile simnet.Profile) *core.Client {
-	return core.NewClient(core.ClientOptions{
-		BaseURL:     h.Server.URL(),
-		Roots:       h.Authority.Root().Pool(),
-		Certificate: s.Cert,
-		Profile:     profile,
-		Timeout:     30 * time.Second,
-	})
 }
 
 // policyFor builds the stress policy for a stakeholder: one service
@@ -365,72 +348,19 @@ func (h *Harness) runStakeholder(ctx context.Context, name string, opts Workload
 	return nil
 }
 
-// --- Read-heavy scenario -----------------------------------------------------
-
-// ReadHeavyOptions shapes one RunReadHeavy: N stakeholders re-attesting
-// and fetching secrets against M shared policies while a background
-// updater rotates policy content — the Fig 8 / Fig 12 hot-loop mix the
-// decode-once policy cache targets (DESIGN.md §8).
-type ReadHeavyOptions struct {
-	// Stakeholders is the reader concurrency (default 8). All readers
-	// share one client identity: multiple clients sharing one certificate
-	// to share policies is the paper's own model (§IV-E).
-	Stakeholders int
-	// Policies is the number of distinct policies the readers cycle over
-	// (default 4).
-	Policies int
-	// Iterations is the number of attest+fetch rounds per stakeholder
-	// (default 50).
-	Iterations int
-	// FetchesPerAttest is the number of secret fetches following each
-	// attestation (default 4) — a config-refresh-heavy mix.
-	FetchesPerAttest int
-	// Secrets is the number of random secrets per policy (default 32);
-	// sizing the policy makes the per-request decode cost this scenario
-	// ablates visible.
-	Secrets int
-	// UpdatePause is the background updater's pause between UpdatePolicy
-	// calls (default 2ms); negative disables the updater.
-	UpdatePause time.Duration
-}
-
-func (o *ReadHeavyOptions) defaults() {
-	if o.Stakeholders <= 0 {
-		o.Stakeholders = 8
-	}
-	if o.Policies <= 0 {
-		o.Policies = 4
-	}
-	if o.Iterations <= 0 {
-		o.Iterations = 50
-	}
-	if o.FetchesPerAttest <= 0 {
-		o.FetchesPerAttest = 4
-	}
-	if o.Secrets <= 0 {
-		o.Secrets = 32
-	}
-	if o.UpdatePause == 0 {
-		o.UpdatePause = 2 * time.Millisecond
-	}
-}
-
-// readHeavyOwner is the shared client identity of the read-heavy run.
-var readHeavyOwner = core.ClientID{0x5e}
-
-// readHeavyPolicy builds one sizeable shared policy: many random secrets,
-// substitution-heavy command/environment, and an injection file.
-func (h *Harness) readHeavyPolicy(name string, secrets, iteration int) *policy.Policy {
+// secretsPolicy builds a policy releasing many random secrets through a
+// substitution-heavy command, environment and injection file.
+func (h *Harness) secretsPolicy(name string, secrets int) *policy.Policy {
 	p := &policy.Policy{
 		Name: name,
 		Services: []policy.Service{{
 			Name:        "app",
-			Command:     fmt.Sprintf("serve --iter %d --token $$secret_00 --backup $$secret_01", iteration),
+			Command:     "serve --token $$secret_00 --backup $$secret_01",
 			MREnclaves:  []sgx.Measurement{h.AppBinary.Measure()},
-			Environment: map[string]string{"TOKEN": "$$secret_00", "ITER": fmt.Sprint(iteration)},
+			Environment: map[string]string{"TOKEN": "$$secret_00"},
 			InjectionFiles: []policy.InjectionFile{{
 				Path:     "/etc/app/conf",
-				Template: "token=$$secret_00\nbackup=$$secret_01\niter=" + fmt.Sprint(iteration) + "\n",
+				Template: "token=$$secret_00\nbackup=$$secret_01\n",
 			}},
 		}},
 	}
@@ -443,158 +373,8 @@ func (h *Harness) readHeavyPolicy(name string, secrets, iteration int) *policy.P
 	return p
 }
 
-// RunReadHeavy drives the read-side hot paths in-process (no HTTP/TLS in
-// the way: this scenario isolates the TMS read path the policy cache
-// serves; Run covers the full-stack mix). Setup — policy creation, enclave
-// launch, a warm-up attestation per policy that mints the FSPF keys — is
-// untimed; the measured loop is attestations and secret fetches against a
-// background stream of policy updates.
-func (h *Harness) RunReadHeavy(ctx context.Context, opts ReadHeavyOptions) (Report, error) {
-	opts.defaults()
-	inst := h.Instance
-
-	// Untimed setup: M policies, one app enclave, one warm-up attestation
-	// per policy so the measured loop never pays the first-execution key
-	// mint (a write, not a read).
-	names := make([]string, opts.Policies)
-	for m := range names {
-		names[m] = fmt.Sprintf("readheavy-%d", m)
-		if err := inst.CreatePolicy(ctx, readHeavyOwner, h.readHeavyPolicy(names[m], opts.Secrets, 0)); err != nil {
-			return Report{}, fmt.Errorf("stress: create %s: %w", names[m], err)
-		}
-	}
-	enclave, err := h.Platform.Launch(h.AppBinary, sgx.LaunchOptions{})
-	if err != nil {
-		return Report{}, fmt.Errorf("stress: launch app enclave: %w", err)
-	}
-	defer enclave.Destroy()
-	for _, n := range names {
-		signer, err := cryptoutil.NewSigner()
-		if err != nil {
-			return Report{}, err
-		}
-		if _, err := inst.AttestApplication(context.Background(), attest.NewEvidence(enclave, n, "app", signer.Public), h.Platform.QuotingKey()); err != nil {
-			return Report{}, fmt.Errorf("stress: warm-up attest %s: %w", n, err)
-		}
-	}
-
-	rec := &recorder{}
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		if err == nil || ctx.Err() != nil {
-			return
-		}
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-
-	start := time.Now()
-	statsBefore := inst.CacheStats()
-
-	// Background updater: rotates policy content (fresh random secrets,
-	// new revision) so the run exercises invalidation, not just a static
-	// cache. Conflicted reader attempts surface as ErrConflict and are
-	// retried inside AttestApplication; the reader loop treats any other
-	// error as fatal.
-	stopUpdater := make(chan struct{})
-	updaterDone := make(chan struct{})
-	if opts.UpdatePause >= 0 {
-		usink := rec.newSink()
-		go func() {
-			defer close(updaterDone)
-			for gen := 1; ; gen++ {
-				select {
-				case <-stopUpdater:
-					return
-				case <-ctx.Done():
-					return
-				default:
-				}
-				name := names[gen%len(names)]
-				// A stored update carries no FSPF key, so the next
-				// attestation re-mints one (Revision++); that mint landing
-				// mid-approval surfaces as a benign ErrConflict here.
-				if err := usink.observe("update", func() error {
-					return inst.UpdatePolicy(ctx, readHeavyOwner, h.readHeavyPolicy(name, opts.Secrets, gen))
-				}); err != nil && !errors.Is(err, core.ErrConflict) {
-					fail(fmt.Errorf("stress: updater gen %d (%s): %w", gen, name, err))
-				}
-				time.Sleep(opts.UpdatePause)
-			}
-		}()
-	} else {
-		close(updaterDone)
-	}
-
-	for w := 0; w < opts.Stakeholders; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sink := rec.newSink()
-			signer, err := cryptoutil.NewSigner()
-			if err != nil {
-				fail(err)
-				return
-			}
-			// One evidence bundle per (stakeholder, policy), minted
-			// untimed: the loop measures PALÆMON's verification and
-			// release path, not the driver's quote generation.
-			evs := make([]attest.Evidence, len(names))
-			for m, n := range names {
-				evs[m] = attest.NewEvidence(enclave, n, "app", signer.Public)
-			}
-			for iter := 0; iter < opts.Iterations; iter++ {
-				if ctx.Err() != nil {
-					return
-				}
-				m := (w + iter) % len(names)
-				// ErrConflict is a benign casualty of the background
-				// updater (AttestApplication's retry budget can run out
-				// under sustained churn); anything else is a real failure.
-				if err := sink.observe("attest", func() error {
-					_, err := inst.AttestApplication(context.Background(), evs[m], h.Platform.QuotingKey())
-					return err
-				}); err != nil && !errors.Is(err, core.ErrConflict) {
-					fail(fmt.Errorf("stress: reader %d attest %s: %w", w, names[m], err))
-					return
-				}
-				for f := 0; f < opts.FetchesPerAttest; f++ {
-					if err := sink.observe("fetch-secrets", func() error {
-						_, err := inst.FetchSecrets(ctx, readHeavyOwner, names[m], nil)
-						return err
-					}); err != nil && !errors.Is(err, core.ErrConflict) {
-						fail(fmt.Errorf("stress: reader %d fetch %s: %w", w, names[m], err))
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(stopUpdater)
-	<-updaterDone
-
-	rep := rec.report(opts.Stakeholders, time.Since(start))
-	rep.Cache = inst.CacheStats().Since(statsBefore)
-
-	// Untimed cleanup.
-	for _, n := range names {
-		if err := inst.DeletePolicy(ctx, readHeavyOwner, n); err != nil && ctx.Err() == nil {
-			fail(fmt.Errorf("stress: delete %s: %w", n, err))
-		}
-	}
-	return rep, firstErr
-}
-
 // BenchPolicy builds a small attestable policy for benchmarks and the
 // figures harness: one service bound to AppBinary, two random secrets.
 func (h *Harness) BenchPolicy(name string) *policy.Policy {
-	return h.readHeavyPolicy(name, 2, 0)
+	return h.secretsPolicy(name, 2)
 }

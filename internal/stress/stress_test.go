@@ -123,69 +123,3 @@ func TestSkipCRUDWorkload(t *testing.T) {
 		t.Fatalf("push-tag count %d, want 45", st.Count)
 	}
 }
-
-// TestReadHeavyWorkload drives the Fig 8/Fig 12 read mix with the policy
-// cache on and off: both modes must be error-free, and the cache counters
-// must reflect the selected mode (the ablation is measurable, DESIGN.md §8).
-func TestReadHeavyWorkload(t *testing.T) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{
-		{"cache", false},
-		{"nocache", true},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			h, err := New(Options{
-				DataDir:            t.TempDir(),
-				DisablePolicyCache: mode.disable,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer h.Close()
-			rep, err := h.RunReadHeavy(context.Background(), ReadHeavyOptions{
-				Stakeholders:     4,
-				Policies:         2,
-				Iterations:       6,
-				FetchesPerAttest: 2,
-				Secrets:          8,
-			})
-			if err != nil {
-				t.Fatalf("%v\n%s", err, rep)
-			}
-			at := rep.PerOp["attest"]
-			if got := at.Count + at.Errors; got != 4*6 {
-				t.Fatalf("attest attempts %d, want %d\n%s", got, 4*6, rep)
-			}
-			fs := rep.PerOp["fetch-secrets"]
-			if got := fs.Count + fs.Errors; got != 4*6*2 {
-				t.Fatalf("fetch attempts %d, want %d\n%s", got, 4*6*2, rep)
-			}
-			if mode.disable {
-				if rep.Cache.Enabled || rep.Cache.Hits != 0 {
-					t.Fatalf("nocache mode recorded hits: %+v", rep.Cache)
-				}
-			} else {
-				if !rep.Cache.Enabled || rep.Cache.Hits == 0 {
-					t.Fatalf("cache mode recorded no hits: %+v", rep.Cache)
-				}
-				if rep.Cache.Invalidations == 0 {
-					t.Fatalf("background updater never invalidated: %+v", rep.Cache)
-				}
-			}
-			if !strings.Contains(rep.String(), "policy-cache") {
-				t.Fatalf("summary missing cache line:\n%s", rep)
-			}
-			// Policies are cleaned up untimed after the run.
-			names, err := h.Instance.ListPolicyNames()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(names) != 0 {
-				t.Fatalf("%d policies left behind", len(names))
-			}
-			t.Logf("\n%s", rep)
-		})
-	}
-}

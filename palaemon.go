@@ -201,8 +201,7 @@ type DeploymentOptions struct {
 	// Observability enables the unified observability layer (DESIGN.md
 	// §11): structured request logs, RED metrics, and the tamper-evident
 	// audit chain. When false the serving path carries zero
-	// instrumentation — the ablation baseline for the obs-overhead
-	// experiment.
+	// instrumentation.
 	Observability bool
 	// LogHandler receives the structured logs when Observability is set.
 	// Nil discards them (metrics and audit still run).
