@@ -17,7 +17,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 
+	"palaemon/internal/ca"
 	"palaemon/internal/core"
 	"palaemon/internal/fspf"
 	"palaemon/internal/kvdb"
@@ -65,7 +67,17 @@ func run() error {
 	if err := inst.CreatePolicy(ctx, core.ClientID{1}, pol); err != nil {
 		return err
 	}
-	tms := &core.Local{Inst: inst}
+	// The runtime reaches the instance only over its attested TLS endpoint.
+	authority, err := ca.New(platform, ca.Config{TrustedMREs: []sgx.Measurement{inst.MRE()}, CertValidity: time.Hour})
+	if err != nil {
+		return err
+	}
+	defer authority.Close()
+	server, err := core.Serve(inst, core.ServerOptions{Authority: authority})
+	if err != nil {
+		return err
+	}
+	tms := core.NewClient(core.ClientOptions{BaseURL: server.URL(), Roots: authority.Root().Pool()})
 
 	app, err := runtime.Start(ctx, runtime.Options{
 		Platform: platform, Binary: bin,
@@ -118,6 +130,9 @@ func run() error {
 	// --- Scene 2: TMS database rollback ---------------------------------
 	// Shut down cleanly (v = c) and snapshot the on-disk DB: a perfectly
 	// consistent state an attacker could serve later.
+	if err := server.Close(); err != nil {
+		return err
+	}
 	if err := inst.Shutdown(ctx); err != nil {
 		return err
 	}

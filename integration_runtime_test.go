@@ -9,9 +9,9 @@ import (
 )
 
 // TestRuntimeOverHTTPS runs the full production wiring: the SCONE-like
-// runtime attests and pushes tags through the REST/TLS client rather than
-// the in-process adapter, so every byte of the §IV-A protocol crosses a
-// real TLS connection.
+// runtime attests and pushes tags through a certificate-bearing REST/TLS
+// client that also drives policy CRUD, so every byte of the §IV-A protocol
+// crosses a real TLS connection.
 func TestRuntimeOverHTTPS(t *testing.T) {
 	ctx := context.Background()
 	dep, err := palaemon.StartService(palaemon.DeploymentOptions{DataDir: t.TempDir()})

@@ -4,11 +4,13 @@
 //
 // The runtime creates an ephemeral key pair, obtains a quote from the local
 // quoting enclave binding the public key hash, and ships the quote with its
-// policy/service name over a fresh TLS connection. PALÆMON verifies that
-// (i) the TLS client key matches the quoted key hash, (ii) the policy and
-// service exist and the MRE is permitted, (iii) the platform is permitted —
-// then releases the configuration: arguments, environment, file-system keys
-// and tags, and the injection secrets.
+// policy/service name over a fresh TLS connection. The paper has PALÆMON
+// verify that (i) the TLS client key matches the quoted key hash, (ii) the
+// policy and service exist and the MRE is permitted, (iii) the platform is
+// permitted — then release the configuration: arguments, environment,
+// file-system keys and tags, and the injection secrets. Checks (ii) and
+// (iii) are implemented; (i) is not yet: the quote binds the presented
+// session key, but no code proves the TLS peer holds it (ROADMAP item 20b).
 package attest
 
 import (

@@ -19,7 +19,7 @@ import (
 // AppConfig is the configuration PALÆMON releases to an attested
 // application (§IV-A). The concrete type lives in the wire contract
 // package (it IS the attestation response DTO); core re-exports it so
-// in-process callers — the runtime, the facade — need no wire import.
+// its callers — the runtime, the facade — need no wire import.
 type AppConfig = wire.AppConfig
 
 // AttestApplication verifies application evidence against the named policy

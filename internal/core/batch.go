@@ -12,9 +12,8 @@ import (
 // instance and returns one result per op, in order. Ops fail
 // independently — a failed op carries its structured error while its
 // siblings proceed — so one round trip can mix secret fetches across
-// policies with tag pushes (the Fig 12 WAN collapse). Both transports
-// share this executor: the HTTP server derives the client identity from
-// the TLS certificate, Local passes its configured identity.
+// policies with tag pushes (the Fig 12 WAN collapse). The client
+// identity comes from the TLS certificate.
 //
 // hasID reports whether a client identity is present at all; ops that
 // release policy content (fetch_secrets, read_policy) refuse without one,

@@ -112,7 +112,7 @@ func (e *remoteSentinelError) Unwrap() []error { return []error{e.sentinel, e.en
 // Retryable reports whether err is a wire-level retryable failure (an
 // optimistic-concurrency conflict, a draining instance, or an admission
 // rejection). It works on both local sentinel errors and remote
-// envelopes, so Local and HTTP callers branch identically.
+// envelopes, so in-process and HTTP callers branch identically.
 func Retryable(err error) bool {
 	var we *wire.Error
 	if errors.As(err, &we) {

@@ -752,22 +752,22 @@ func TestV2WatchDetectsRecreate(t *testing.T) {
 	}
 }
 
-// TestLocalWatchCancellation pins the cancel-vs-window distinction: a
-// Local watch whose CALLER context is cancelled must surface the error
-// (not a Changed=false re-arm signal, which would busy-spin re-arm
-// loops), while a window expiry still reads as Changed=false.
+// TestLocalWatchCancellation pins the cancel-vs-window distinction of
+// Client.WatchPolicy: a watch whose CALLER context is cancelled must
+// surface the error (not a Changed=false re-arm signal, which would
+// busy-spin re-arm loops), while a window expiry still reads as
+// Changed=false.
 func TestLocalWatchCancellation(t *testing.T) {
 	s := newStack(t)
 	ctx := context.Background()
-	cli, id := s.client(t, "local-watcher")
+	cli, _ := s.client(t, "local-watcher")
 	mre := sgx.Binary{Name: "app", Code: []byte("v1")}.Measure()
 	if err := cli.CreatePolicy(ctx, testPolicy("lw-pol", mre)); err != nil {
 		t.Fatal(err)
 	}
-	local := &Local{Inst: s.inst, ID: id}
 
 	// Window expiry: Changed=false, nil error.
-	res, err := local.WatchPolicy(ctx, "lw-pol", 1, 0, 100*time.Millisecond)
+	res, err := cli.WatchPolicy(ctx, "lw-pol", 1, 0, 100*time.Millisecond)
 	if err != nil || res.Changed {
 		t.Fatalf("window expiry = (%+v, %v), want (Changed=false, nil)", res, err)
 	}
@@ -776,7 +776,7 @@ func TestLocalWatchCancellation(t *testing.T) {
 	cctx, cancel := context.WithCancel(ctx)
 	done := make(chan error, 1)
 	go func() {
-		_, err := local.WatchPolicy(cctx, "lw-pol", 1, 0, 30*time.Second)
+		_, err := cli.WatchPolicy(cctx, "lw-pol", 1, 0, 30*time.Second)
 		done <- err
 	}()
 	waitForWatchers(t, s.inst, "lw-pol", 1)

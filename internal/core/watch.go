@@ -192,7 +192,7 @@ func (i *Instance) watchOnce(ctx context.Context, client ClientID, name string, 
 		// A deadline is the poll window expiring — the documented
 		// Changed=false re-arm signal. A cancellation is the caller going
 		// away and must surface as the error, or a re-arm loop (palaemonctl
-		// watch, any Local consumer) would busy-spin on instant
+		// watch, any in-process consumer) would busy-spin on instant
 		// Changed=false returns instead of observing the cancel.
 		if errors.Is(ctx.Err(), context.Canceled) {
 			return WatchResult{}, true, ctx.Err()

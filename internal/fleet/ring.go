@@ -85,42 +85,10 @@ func (r *Ring) Shards() []string { return append([]string(nil), r.names...) }
 // Owner returns the shard owning the given policy name: the first ring
 // point at or clockwise of sha256(policy).
 func (r *Ring) Owner(policy string) string {
-	return r.names[r.ownerIndex(policy)]
-}
-
-// Owners returns up to n distinct shards for the policy, walking
-// clockwise from the owner — the owner first, then the shards that would
-// take over if it left the ring. n > len(shards) returns every shard.
-func (r *Ring) Owners(policy string, n int) []string {
-	if n <= 0 {
-		return nil
-	}
-	if n > len(r.names) {
-		n = len(r.names)
-	}
-	start := r.pointIndex(policy)
-	out := make([]string, 0, n)
-	seen := make(map[int]bool, n)
-	for i := 0; i < len(r.points) && len(out) < n; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if seen[p.shard] {
-			continue
-		}
-		seen[p.shard] = true
-		out = append(out, r.names[p.shard])
-	}
-	return out
-}
-
-func (r *Ring) ownerIndex(policy string) int {
-	return r.points[r.pointIndex(policy)].shard
-}
-
-func (r *Ring) pointIndex(policy string) int {
 	h := ringHash(policy)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0 // wrap: first point owns the top arc
 	}
-	return i
+	return r.names[r.points[i].shard]
 }

@@ -61,29 +61,6 @@ func TestRingOwnershipStableWhenEndpointsMove(t *testing.T) {
 	}
 }
 
-func TestRingOwnersDistinctAndOwnerFirst(t *testing.T) {
-	r, err := NewRing([]string{"shard-1", "shard-2", "shard-3"}, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
-		key := fmt.Sprintf("policy-%d", i)
-		owners := r.Owners(key, 2)
-		if len(owners) != 2 {
-			t.Fatalf("Owners(%q, 2) = %v", key, owners)
-		}
-		if owners[0] != r.Owner(key) {
-			t.Fatalf("Owners first element %q != Owner %q", owners[0], r.Owner(key))
-		}
-		if owners[0] == owners[1] {
-			t.Fatalf("Owners(%q, 2) repeated a shard: %v", key, owners)
-		}
-	}
-	if got := r.Owners("x", 10); len(got) != 3 {
-		t.Fatalf("Owners beyond shard count = %v, want all 3", got)
-	}
-}
-
 func TestRingRejectsBadInput(t *testing.T) {
 	if _, err := NewRing(nil, 8); err == nil {
 		t.Fatal("empty ring accepted")

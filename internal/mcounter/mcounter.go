@@ -306,57 +306,3 @@ func (b *MemBackend) Sync() error {
 	}
 	return under.Sync()
 }
-
-// TPM models a TPM-based counter: ~10 increments per second and NVRAM that
-// wears out after a bounded number of writes (the paper cites 300 k–1.4 M).
-// It is included as a comparison point for the Fig 10 discussion.
-type TPM struct {
-	mu        sync.Mutex
-	value     uint64
-	writes    uint64
-	wearLimit uint64
-	interval  intervalGate
-}
-
-// NewTPM builds a TPM counter with the given wear limit (0 = default 1.4 M).
-func NewTPM(wearLimit uint64) *TPM {
-	if wearLimit == 0 {
-		wearLimit = 1_400_000
-	}
-	return &TPM{wearLimit: wearLimit}
-}
-
-var _ Counter = (*TPM)(nil)
-
-// ErrWornOut reports NVRAM exhaustion.
-var ErrWornOut = errors.New("mcounter: TPM NVRAM worn out")
-
-// Increment bumps the counter, subject to rate limit and wear.
-func (t *TPM) Increment() (uint64, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.writes >= t.wearLimit {
-		return 0, fmt.Errorf("%w after %d writes", ErrWornOut, t.writes)
-	}
-	t.interval.wait()
-	t.value++
-	t.writes++
-	return t.value, nil
-}
-
-// Value reads the counter.
-func (t *TPM) Value() (uint64, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.value, nil
-}
-
-// Close is a no-op.
-func (t *TPM) Close() error { return nil }
-
-// Writes reports total NVRAM writes.
-func (t *TPM) Writes() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.writes
-}

@@ -127,28 +127,6 @@ func TestFileCounterCorruptState(t *testing.T) {
 	}
 }
 
-func TestTPMWear(t *testing.T) {
-	c := NewTPM(3)
-	c.interval.interval = 1 // effectively no rate limit for the test
-	for i := 0; i < 3; i++ {
-		if _, err := c.Increment(); err != nil {
-			t.Fatalf("Increment %d: %v", i, err)
-		}
-	}
-	if _, err := c.Increment(); !errors.Is(err, ErrWornOut) {
-		t.Fatalf("want ErrWornOut, got %v", err)
-	}
-	if c.Writes() != 3 {
-		t.Fatalf("Writes = %d, want 3", c.Writes())
-	}
-	if v, _ := c.Value(); v != 3 {
-		t.Fatalf("Value = %d, want 3", v)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // flakyBackend wraps a Backend and fails Store while failing is set.
 type flakyBackend struct {
 	Backend

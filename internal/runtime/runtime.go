@@ -71,8 +71,9 @@ type Options struct {
 	// PolicyName and ServiceName select the PALÆMON policy entry.
 	PolicyName  string
 	ServiceName string
-	// TMS is the PALÆMON endpoint (HTTP client or in-process Local).
-	TMS core.TMS
+	// TMS is the HTTPS client to PALÆMON: attestation, tag pushes and the
+	// exit notification all cross its attested TLS connection (§IV-A).
+	TMS *core.Client
 	// Mode selects Native/EMU/HW.
 	Mode Mode
 	// HeapBytes sizes the enclave heap (HW mode).
@@ -80,11 +81,6 @@ type Options struct {
 	// Image, when non-nil, supplies the marshalled encrypted volume from
 	// untrusted storage (a restart); nil starts with a fresh volume.
 	Image []byte
-	// Tracker, when non-nil, receives modelled latencies instead of
-	// sleeping (figure harness mode).
-	Tracker *simclock.Tracker
-	// Clock sleeps modelled costs; defaults to the platform clock or wall.
-	Clock simclock.Clock
 }
 
 // App is one shielded application execution.
@@ -118,13 +114,9 @@ func Start(ctx context.Context, opts Options) (*App, error) {
 	if opts.Mode != ModeNative && opts.Platform == nil {
 		return nil, errors.New("runtime: platform required for shielded modes")
 	}
-	clock := opts.Clock
-	if clock == nil {
-		if opts.Platform != nil {
-			clock = opts.Platform.Clock()
-		} else {
-			clock = simclock.Wall{}
-		}
+	var clock simclock.Clock = simclock.Wall{}
+	if opts.Platform != nil {
+		clock = opts.Platform.Clock()
 	}
 	app := &App{opts: opts, clock: clock}
 
@@ -158,7 +150,7 @@ func Start(ctx context.Context, opts Options) (*App, error) {
 	}
 
 	ev := attest.NewEvidence(app.enclave, opts.PolicyName, opts.ServiceName, session.Public)
-	cfg, err := opts.TMS.Attest(ctx, ev, opts.Platform.QuotingKey(), opts.Tracker)
+	cfg, err := opts.TMS.Attest(ctx, ev, opts.Platform.QuotingKey(), nil)
 	if err != nil {
 		app.destroy()
 		return nil, fmt.Errorf("runtime: attestation: %w", err)
@@ -194,12 +186,16 @@ func Start(ctx context.Context, opts Options) (*App, error) {
 	}
 
 	// Every tag change is pushed to PALÆMON over the standing attested
-	// connection (§III-D: close, sync, exit).
+	// connection (§III-D: close, sync, exit). The hook outlives Start, so
+	// it must not die with Start's context: a push lost to a cancelled
+	// ctx would leave PALÆMON expecting an old tag, and the next honest
+	// restart would look like a rollback.
+	pushCtx := context.WithoutCancel(ctx)
 	vol.OnTagChange(func(tag fspf.Tag) {
 		app.mu.Lock()
 		app.pushes++
 		app.mu.Unlock()
-		if err := opts.TMS.PushTag(ctx, cfg.SessionToken, tag, opts.Tracker); err != nil {
+		if err := opts.TMS.PushTag(pushCtx, cfg.SessionToken, tag, nil); err != nil {
 			app.mu.Lock()
 			if app.pushErr == nil {
 				app.pushErr = err
@@ -221,29 +217,7 @@ func (a *App) charge(syscalls int) {
 	if a.opts.Mode != ModeHW || a.enclave == nil {
 		return
 	}
-	d := a.enclave.ChargeSyscalls(syscalls)
-	if a.opts.Tracker != nil {
-		a.opts.Tracker.Add("syscalls", d)
-		return
-	}
-	a.clock.Sleep(d)
-}
-
-// ChargeWorkingSet reports a working-set touch to the EPC model (macro
-// workloads call this per request batch).
-func (a *App) ChargeWorkingSet(bytes int64) {
-	if a.opts.Mode != ModeHW || a.enclave == nil {
-		return
-	}
-	d := a.enclave.ChargeWorkingSet(bytes)
-	if d <= 0 {
-		return
-	}
-	if a.opts.Tracker != nil {
-		a.opts.Tracker.Add("paging", d)
-		return
-	}
-	a.clock.Sleep(d)
+	a.clock.Sleep(a.enclave.ChargeSyscalls(syscalls))
 }
 
 // Config returns the released configuration (nil in native mode).

@@ -1,53 +1,13 @@
-// Full-stack benchmarks (DESIGN.md §5): N concurrent stakeholders over TLS
-// against one instance. Run:
-//
-//	go test ./internal/stress -bench=. -benchtime=10x
-//
-// The kvdb-level grid (BenchmarkConcurrentWriters in internal/kvdb)
-// isolates the WAL; this one shows the end-to-end effect with the HTTP,
-// TLS, attestation, and policy layers on top.
+// Full-stack benchmark over loopback TLS against one instance (DESIGN.md
+// §11). The end-to-end workloads live in the bench module.
 package stress
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"palaemon/internal/obs"
 )
-
-func benchWorkload(b *testing.B, opts Options, stakeholders int) {
-	opts.DataDir = b.TempDir()
-	h, err := New(opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer h.Close()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		rep, err := h.Run(context.Background(), WorkloadOptions{
-			Stakeholders: stakeholders,
-			Iterations:   3,
-			TagPushes:    3,
-		})
-		if err != nil {
-			b.Fatalf("%v\n%s", err, rep)
-		}
-		b.ReportMetric(rep.Throughput(), "ops/sec")
-		if st, ok := rep.PerOp["push-tag"]; ok {
-			b.ReportMetric(float64(st.P95.Microseconds()), "push-p95-µs")
-		}
-	}
-}
-
-// BenchmarkStakeholders is the end-to-end concurrent-stakeholder grid.
-func BenchmarkStakeholders(b *testing.B) {
-	for _, stakeholders := range []int{1, 8} {
-		b.Run(fmt.Sprintf("stakeholders=%d", stakeholders), func(b *testing.B) {
-			benchWorkload(b, Options{}, stakeholders)
-		})
-	}
-}
 
 // BenchmarkObsServing is the observability ablation (DESIGN.md §11): one
 // stakeholder fetching secrets over loopback HTTPS with the obs bundle

@@ -450,14 +450,16 @@ type RunAppOptions struct {
 }
 
 // RunApp starts an application under the SCONE-like runtime against this
-// deployment, performing attestation and shield setup (§IV-A).
+// deployment, performing attestation and shield setup (§IV-A). The
+// runtime reaches the instance over a fresh TLS connection that trusts
+// the deployment's CA, as a real enclave would.
 func (d *Deployment) RunApp(ctx context.Context, opts RunAppOptions) (*App, error) {
 	return runtime.Start(ctx, runtime.Options{
 		Platform:    d.Platform,
 		Binary:      opts.Binary,
 		PolicyName:  opts.PolicyName,
 		ServiceName: opts.ServiceName,
-		TMS:         &core.Local{Inst: d.Instance},
+		TMS:         core.NewClient(core.ClientOptions{BaseURL: d.Server.URL(), Roots: d.Authority.Root().Pool()}),
 		Mode:        opts.Mode,
 		Image:       opts.Image,
 		HeapBytes:   opts.HeapBytes,
